@@ -155,8 +155,7 @@ pub enum StateKeys {
     Canonical,
 }
 
-/// The typed feature configuration for a [`Checker`], replacing the old
-/// pair of boolean toggles (`vm(bool)`, `symmetry(bool)`).
+/// The typed feature configuration for a [`Checker`].
 ///
 /// The default is the conservative baseline: native execution, concrete
 /// state keys. [`Features::full`] turns both accelerators on; either can
@@ -336,7 +335,6 @@ pub struct Checker<'a> {
     metrics: Option<Arc<Metrics>>,
     ledger: Option<PathBuf>,
     scenario_id: Option<String>,
-    store_cache: bool,
 }
 
 impl<'a> Checker<'a> {
@@ -384,7 +382,6 @@ impl<'a> Checker<'a> {
             metrics: None,
             ledger: None,
             scenario_id: None,
-            store_cache: false,
         }
     }
 
@@ -486,50 +483,9 @@ impl<'a> Checker<'a> {
         self
     }
 
-    /// Opt in to process-symmetry reduction for exhaustive search.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `features(Features::default().canonical())` (or `Features::full()`)"
-    )]
-    pub fn symmetry(mut self, on: bool) -> Self {
-        self.features.keys = if on {
-            StateKeys::Canonical
-        } else {
-            StateKeys::Concrete
-        };
-        self
-    }
-
-    /// Opt in to running the system's compiled bytecode instead of its
-    /// native programs.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `features(Features::default().compiled())` (or `Features::full()`)"
-    )]
-    pub fn vm(mut self, on: bool) -> Self {
-        self.features.execution = if on {
-            Execution::Compiled
-        } else {
-            Execution::Native
-        };
-        self
-    }
-
     /// The base seed for swarm schedules.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Backs the exhaustive search's visited-state cache with the
-    /// transactional B+tree run store instead of hash shards. Purely a
-    /// storage swap: verdict, witness, and state counts are identical
-    /// (pinned by `crates/check/tests/store_cache.rs`). Exists so the
-    /// ROADMAP 4(b) migration candidate can be measured on real
-    /// workloads; the default (`false`) is the faster choice for
-    /// write-heavy search traffic — see EXPERIMENTS.md.
-    pub fn store_cache(mut self, on: bool) -> Self {
-        self.store_cache = on;
         self
     }
 
@@ -712,6 +668,12 @@ impl<'a> Checker<'a> {
     /// Explores every schedule up to the bounds, in parallel if
     /// [`Checker::threads`] asked for it.
     ///
+    /// The first violation seen ends the search. Its reported witness is
+    /// the first violation a 1-thread depth-first search from the root
+    /// meets: when the search ran on more threads or was resumed, a fresh
+    /// 1-thread search re-derives it, and its effort is added to
+    /// [`Report::stats`].
+    ///
     /// # Panics
     ///
     /// When [`Checker::resume_from`] accepted a checkpoint but an
@@ -726,7 +688,6 @@ impl<'a> Checker<'a> {
             max_transitions: self.max_transitions,
             max_crashes: self.max_crashes,
             deadline: self.deadline.map(|d| Instant::now() + d),
-            store_cache: self.store_cache,
         };
         let native = self.system.get();
         let compiled = if self.features.execution == Execution::Compiled {
@@ -777,7 +738,6 @@ impl<'a> Checker<'a> {
             }
             ResumeSeed {
                 counters: ckpt.counters,
-                candidate: ckpt.candidate,
                 frontier: ckpt.frontier,
                 cache: ckpt.cache,
             }
@@ -794,7 +754,6 @@ impl<'a> Checker<'a> {
                 id: checkpoint::fresh_id(),
                 fingerprint: emit_fp.clone(),
                 counters: snap.counters,
-                candidate: snap.candidate,
                 frontier: snap.frontier,
                 cache: snap.cache,
             };
@@ -835,9 +794,43 @@ impl<'a> Checker<'a> {
             hooks.as_ref(),
         );
         let mut found = outcome.found;
-        let stats = outcome.stats;
-        let workers = outcome.workers;
+        let mut stats = outcome.stats;
+        let mut workers = outcome.workers;
         let checkpoint_written = outcome.checkpoint;
+        // The witness contract: report the violation a fresh 1-thread
+        // depth-first search from the root meets first. A 1-thread search
+        // that was not resumed found exactly that one; any other violating
+        // search is rerun that way. The rerun is not charged to the
+        // transition budget (it stops at its first violation) but keeps
+        // the deadline; if that cuts it short, the violation first seen
+        // stands — it is real and replays.
+        if found.is_some() && (self.threads > 1 || resumed_from.is_some()) {
+            let rerun = run_exhaustive(
+                system,
+                self.model,
+                &self.invariants,
+                &ExploreConfig {
+                    max_transitions: u64::MAX,
+                    ..config.clone()
+                },
+                1,
+                None,
+                group.as_ref(),
+                search_metrics.as_ref(),
+                None,
+                None,
+            );
+            stats.transitions += rerun.stats.transitions;
+            stats.pruned_sleep += rerun.stats.pruned_sleep;
+            stats.cache_skips += rerun.stats.cache_skips;
+            stats.truncated_paths += rerun.stats.truncated_paths;
+            if let (Some(w), Some(r)) = (workers.first_mut(), rerun.workers.first()) {
+                w.absorb(r);
+            }
+            if rerun.found.is_some() {
+                found = rerun.found;
+            }
+        }
         // Graceful degradation: an expired deadline costs completeness,
         // but a short swarm pass can still hunt for violations in the
         // space the exhaustive search never reached. A violation found

@@ -1,15 +1,21 @@
 //! Durable, resumable search snapshots.
 //!
 //! A checkpoint freezes an exhaustive search mid-flight: the explicit
-//! frontier (each node's rank, sleep set and schedule prefix — machines
-//! are rebuilt by replay on resume), the sharded visited-state cache
-//! with its rank tags, the effort counters, the best violation candidate
-//! found so far, and a [`Fingerprint`] of everything that determines the
-//! shape of the state space. Restoring all five reproduces the search's
-//! exact position: resuming an interrupted run yields the same verdict,
-//! the same lexicographically least witness and the same unique/canonical
-//! state counts as the run that was never interrupted (pinned by the
-//! `checkpoint_resume` differential suite).
+//! frontier (each node's sleep set and schedule prefix — machines are
+//! rebuilt by replay on resume), the visited-state cache, the effort
+//! counters, and a [`Fingerprint`] of everything that determines the
+//! shape of the state space. Restoring all four reproduces the search's
+//! position: resuming an interrupted run yields the same verdict and the
+//! same unique/canonical state counts as the run that was never
+//! interrupted (pinned by the `checkpoint_resume` differential suite).
+//! A search that found a violation writes no checkpoint, and a resumed
+//! search that finds one has [`crate::Checker::exhaustive`] rerun it
+//! from the root on one thread, so the witness matches too.
+//!
+//! Layout after the header: id, fingerprint, counters, frontier
+//! (sleep set + path per node), cache (key, then sleep set + depth per
+//! entry). Version 1 files also carried a violation candidate and rank
+//! tags; this build refuses them as an unsupported version.
 //!
 //! The wire format follows the bytecode codec's discipline
 //! ([`tpa_tso::bytecode`]): a magic/version header, explicit
@@ -38,11 +44,11 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use tpa_tso::{Directive, MemoryModel, ProcId, VarId};
 
 /// File magic: `TPACKPT` plus a format generation digit.
-const MAGIC: &[u8; 8] = b"TPACKPT1";
+const MAGIC: &[u8; 8] = b"TPACKPT2";
 
 /// Wire-format version; bump on breaking layout changes so old files
 /// fail with "unsupported version", not garbage.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Header size: magic (8) + version (4) + payload length (8) +
 /// payload checksum (8).
@@ -85,8 +91,6 @@ pub enum Section {
     Fingerprint,
     /// The effort counters.
     Counters,
-    /// The best violation candidate.
-    Candidate,
     /// The frontier node list.
     Frontier,
     /// The visited-state cache entries.
@@ -102,7 +106,6 @@ impl fmt::Display for Section {
             Section::Id => write!(f, "checkpoint id"),
             Section::Fingerprint => write!(f, "fingerprint"),
             Section::Counters => write!(f, "counters"),
-            Section::Candidate => write!(f, "candidate"),
             Section::Frontier => write!(f, "frontier"),
             Section::Cache => write!(f, "state cache"),
             Section::Trailer => write!(f, "trailer"),
@@ -278,27 +281,11 @@ pub(crate) struct Counters {
     pub truncated_paths: u64,
 }
 
-/// The best (lex-least-rank) violation found before the checkpoint.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) struct CandidateData {
-    /// Rank of the violating node.
-    pub rank: Vec<u32>,
-    /// Name of the invariant that fired (resolved back to the battery's
-    /// `&'static str` on resume).
-    pub invariant: String,
-    /// Diagnosis from the violating state.
-    pub detail: String,
-    /// The violating schedule from the root.
-    pub schedule: Vec<Directive>,
-}
-
 /// One frontier node, machine omitted: on resume the machine is rebuilt
-/// by replaying `path` from the initial state. (`path`, `rank` and the
-/// node's depth all grow by one per tree edge, so depth is `path.len()`.)
+/// by replaying `path` from the initial state. (`path` and the node's
+/// depth both grow by one per tree edge, so depth is `path.len()`.)
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct FrontierNode {
-    /// Sibling-index path from the root.
-    pub rank: Vec<u32>,
     /// Directives asleep at this node.
     pub sleep: Vec<Directive>,
     /// The schedule from the root (the witness prefix).
@@ -314,8 +301,6 @@ pub(crate) struct CacheEntryData {
     pub sleep: Vec<Directive>,
     /// Depth of the recorded visit.
     pub depth: u32,
-    /// Rank of the recorded visit.
-    pub rank: Vec<u32>,
 }
 
 /// A frozen exhaustive search: load with [`Checkpoint::load`], hand to
@@ -328,7 +313,6 @@ pub struct Checkpoint {
     pub(crate) id: String,
     pub(crate) fingerprint: Fingerprint,
     pub(crate) counters: Counters,
-    pub(crate) candidate: Option<CandidateData>,
     pub(crate) frontier: Vec<FrontierNode>,
     pub(crate) cache: Vec<(u64, Vec<CacheEntryData>)>,
 }
@@ -366,12 +350,6 @@ impl Checkpoint {
         self.counters.transitions
     }
 
-    /// Whether a violation candidate was pending when the checkpoint was
-    /// written.
-    pub fn has_candidate(&self) -> bool {
-        self.candidate.is_some()
-    }
-
     /// A human-readable multi-line summary (`obs_validate --checkpoint`
     /// prints this).
     pub fn describe(&self) -> String {
@@ -382,7 +360,7 @@ impl Checkpoint {
              bounds: max_steps={steps} max_crashes={crashes}\n  \
              battery: {battery}\n  \
              progress: {tr} transitions, {states} cached states, \
-             {front} frontier nodes, candidate: {cand}",
+             {front} frontier nodes",
             id = self.id,
             sys = f.system,
             n = f.n,
@@ -405,10 +383,6 @@ impl Checkpoint {
             tr = self.counters.transitions,
             states = self.cache.len(),
             front = self.frontier.len(),
-            cand = match &self.candidate {
-                Some(c) => c.invariant.as_str(),
-                None => "none",
-            },
         )
     }
 
@@ -439,19 +413,8 @@ impl Checkpoint {
         enc_u64(&mut p, self.counters.pruned_sleep);
         enc_u64(&mut p, self.counters.cache_skips);
         enc_u64(&mut p, self.counters.truncated_paths);
-        match &self.candidate {
-            None => p.push(0),
-            Some(c) => {
-                p.push(1);
-                enc_ranks(&mut p, &c.rank);
-                enc_str(&mut p, &c.invariant);
-                enc_str(&mut p, &c.detail);
-                enc_directives(&mut p, &c.schedule);
-            }
-        }
         enc_u32(&mut p, self.frontier.len() as u32);
         for node in &self.frontier {
-            enc_ranks(&mut p, &node.rank);
             enc_directives(&mut p, &node.sleep);
             enc_directives(&mut p, &node.path);
         }
@@ -462,7 +425,6 @@ impl Checkpoint {
             for e in entries {
                 enc_directives(&mut p, &e.sleep);
                 enc_u32(&mut p, e.depth);
-                enc_ranks(&mut p, &e.rank);
             }
         }
         let mut out = Vec::with_capacity(HEADER_LEN + p.len());
@@ -479,7 +441,8 @@ impl Checkpoint {
     /// # Errors
     ///
     /// [`CheckpointError::Corrupt`] with the byte offset and section of
-    /// the first problem: bad magic, unsupported version, a length that
+    /// the first problem: bad magic, unsupported version (a file from
+    /// another format generation, e.g. version 1), a length that
     /// disagrees with the bytes present (short/torn write), a checksum
     /// mismatch (bit rot), or malformed structure. Never panics, never
     /// silently accepts damaged input.
@@ -492,7 +455,9 @@ impl Checkpoint {
         if bytes.len() < HEADER_LEN {
             return Err(corrupt(bytes.len(), "truncated header"));
         }
-        if &bytes[..8] != MAGIC {
+        // The magic's last byte is the format generation, checked after the
+        // version so an older generation's file reports its version.
+        if bytes[..7] != MAGIC[..7] {
             return Err(corrupt(0, "bad magic (not a checkpoint file)"));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
@@ -504,6 +469,9 @@ impl Checkpoint {
                     "unsupported checkpoint version {version} (this build reads {VERSION})"
                 ),
             });
+        }
+        if bytes[7] != MAGIC[7] {
+            return Err(corrupt(7, "bad magic (not a checkpoint file)"));
         }
         let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
         let actual = (bytes.len() - HEADER_LEN) as u64;
@@ -564,23 +532,11 @@ impl Checkpoint {
             cache_skips: r.u64()?,
             truncated_paths: r.u64()?,
         };
-        r.section = Section::Candidate;
-        let candidate = match r.u8()? {
-            0 => None,
-            1 => Some(CandidateData {
-                rank: r.ranks()?,
-                invariant: r.str()?,
-                detail: r.str()?,
-                schedule: r.directives()?,
-            }),
-            t => return Err(r.fail_at(r.at - 1, format!("bad candidate tag {t}"))),
-        };
         r.section = Section::Frontier;
-        let node_count = r.count_u32(12)?; // rank + sleep + path length fields
+        let node_count = r.count_u32(8)?; // sleep + path length fields
         let mut frontier = Vec::with_capacity(node_count);
         for _ in 0..node_count {
             frontier.push(FrontierNode {
-                rank: r.ranks()?,
                 sleep: r.directives()?,
                 path: r.directives()?,
             });
@@ -590,13 +546,12 @@ impl Checkpoint {
         let mut cache = Vec::with_capacity(key_count);
         for _ in 0..key_count {
             let key = r.u64()?;
-            let entry_count = r.count_u32(12)?;
+            let entry_count = r.count_u32(8)?; // sleep length + depth
             let mut entries = Vec::with_capacity(entry_count);
             for _ in 0..entry_count {
                 entries.push(CacheEntryData {
                     sleep: r.directives()?,
                     depth: r.u32()?,
-                    rank: r.ranks()?,
                 });
             }
             cache.push((key, entries));
@@ -625,7 +580,6 @@ impl Checkpoint {
                 invariants,
             },
             counters,
-            candidate,
             frontier,
             cache,
         })
@@ -761,13 +715,6 @@ fn enc_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn enc_ranks(out: &mut Vec<u8>, rank: &[u32]) {
-    enc_u32(out, rank.len() as u32);
-    for &r in rank {
-        enc_u32(out, r);
-    }
-}
-
 fn enc_directives(out: &mut Vec<u8>, ds: &[Directive]) {
     enc_u32(out, ds.len() as u32);
     for d in ds {
@@ -874,15 +821,6 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| self.fail_at(at, "string is not UTF-8"))
     }
 
-    fn ranks(&mut self) -> Result<Vec<u32>, CheckpointError> {
-        let len = self.count_u32(4)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.u32()?);
-        }
-        Ok(out)
-    }
-
     fn directives(&mut self) -> Result<Vec<Directive>, CheckpointError> {
         let len = self.count_u32(5)?; // tag + pid
         let mut out = Vec::with_capacity(len);
@@ -929,27 +867,19 @@ mod tests {
                 cache_skips: 20,
                 truncated_paths: 3,
             },
-            candidate: Some(CandidateData {
-                rank: vec![0, 2, 1],
-                invariant: "mutual-exclusion".into(),
-                detail: "two processes in cs".into(),
-                schedule: vec![
+            frontier: vec![FrontierNode {
+                sleep: vec![Directive::Commit(ProcId(0))],
+                path: vec![
                     Directive::Issue(ProcId(0)),
                     Directive::CommitVar(ProcId(1), VarId(3)),
                     Directive::Crash(ProcId(1)),
                 ],
-            }),
-            frontier: vec![FrontierNode {
-                rank: vec![1],
-                sleep: vec![Directive::Commit(ProcId(0))],
-                path: vec![Directive::Issue(ProcId(1))],
             }],
             cache: vec![(
                 7,
                 vec![CacheEntryData {
                     sleep: vec![],
                     depth: 1,
-                    rank: vec![1],
                 }],
             )],
         }

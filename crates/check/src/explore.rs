@@ -13,9 +13,7 @@
 //!   footprints are disjoint commute.
 //! * **State cache**: states are keyed by [`Machine::state_hash`]. A
 //!   state revisited with a sleep set *no smaller* than a previously
-//!   explored one — at no less depth and no earlier rank — is skipped;
-//!   see [`crate::cache`] for why all three tags are needed once workers
-//!   run concurrently.
+//!   explored one, at no less depth, is skipped; see [`crate::cache`].
 //!
 //! Both reductions are sound for state predicates: every reachable state
 //! within the bound is reached by at least one explored schedule. The
@@ -42,13 +40,6 @@ pub struct ExploreConfig {
     /// Wall-clock deadline; when it passes, the search aborts with
     /// [`IncompleteReason::DeadlineExpired`].
     pub deadline: Option<std::time::Instant>,
-    /// Back the visited-state cache with the transactional B+tree store
-    /// instead of hash shards. Subsumption semantics (and therefore
-    /// verdicts, witnesses and state counts) are identical; this exists
-    /// so the ROADMAP 4(b) migration candidate can be measured on real
-    /// workloads. Default `false` — the shards win on write-heavy
-    /// search traffic (see EXPERIMENTS.md).
-    pub store_cache: bool,
 }
 
 impl Default for ExploreConfig {
@@ -58,7 +49,6 @@ impl Default for ExploreConfig {
             max_transitions: 20_000_000,
             max_crashes: 0,
             deadline: None,
-            store_cache: false,
         }
     }
 }
@@ -120,7 +110,9 @@ pub struct ExploreStats {
     pub unique_states: usize,
     /// Paths cut off by the depth bound.
     pub truncated_paths: u64,
-    /// Whether the search ran to completion (no abort of any kind).
+    /// Whether the search ran to completion: no budget, deadline or
+    /// panic abort. A search stopped by a violation counts as complete,
+    /// since its verdict is final.
     pub complete: bool,
     /// Why the search aborted, when `complete` is false.
     pub incomplete: Option<IncompleteReason>,

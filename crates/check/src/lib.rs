@@ -25,9 +25,9 @@
 //!   [`tpa_tso::Directive`] interleaving up to a step bound, fanned out
 //!   across worker threads with a sharded visited-state cache, sleep-set
 //!   pruning of commuting directive pairs (built on
-//!   [`tpa_tso::Machine::independent`]), and a deterministic
-//!   first-violation guarantee — any thread count reports the same
-//!   witness;
+//!   [`tpa_tso::Machine::independent`]); the first violation seen ends
+//!   the search, and [`Checker`] reports the witness a 1-thread
+//!   depth-first search meets, so any thread count reports the same one;
 //! * [`swarm`](mod@swarm) — seeded biased random schedules
 //!   (commit-starving, fence-stalling, single-process bursts) for
 //!   instances too large to exhaust;

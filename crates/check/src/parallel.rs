@@ -1,45 +1,37 @@
 //! The work-distributing exploration engine.
 //!
 //! One engine serves both sequential and parallel search: an explicit
-//! frontier of [`Node`]s (machine fork + sleep set + position), expanded
-//! depth-first by each worker over a private stack, with a shared queue
-//! for distributing subtrees across `std::thread` workers. The pieces
-//! that make this *deterministic* — parallel and sequential runs report
-//! the identical witness schedule — are:
+//! frontier of [`Node`]s (machine fork + sleep set + schedule prefix),
+//! expanded depth-first by each worker over a private stack, with a
+//! shared queue for distributing subtrees across `std::thread` workers.
 //!
-//! * every node carries its **rank** (the path of sibling indices from
-//!   the root); ranks order nodes exactly as a sequential DFS would
-//!   visit them;
-//! * the [`StateCache`](crate::cache) only lets a recorded visit
-//!   suppress revisits at greater-or-equal ranks, so the
-//!   lexicographically least path to any reachable state is explored no
-//!   matter how workers interleave;
-//! * violations are not returned at first sight: each is **offered** to
-//!   a shared best-candidate slot keyed by rank, and exploration
-//!   continues — but any subtree whose rank is already ≥ the best
-//!   candidate is pruned, which is the cooperative-cancellation
-//!   mechanism. When the frontier drains, the best candidate is the
-//!   lexicographically least violating schedule, the same one a
-//!   sequential first-violation DFS reports.
+//! The engine decides the *verdict*; it does not pick among witnesses.
+//! The [`StateCache`](crate::cache) subsumes revisits by sleep set and
+//! depth alone, so the visited set of a complete search is the same at
+//! any thread count. The first violation any worker sees ends the search
+//! through the abort path. With one thread, and no resume, that is the
+//! first violation in depth-first order. With more, it is whichever
+//! worker got there first, so [`crate::Checker::exhaustive`] reruns a
+//! fresh 1-thread search to report the 1-thread witness.
 //!
-//! Workers donate the bottom half of their private stack (their
-//! lexicographically *latest* work) to the shared queue whenever it runs
-//! empty, so load balance never depends on the initial subtree split.
+//! Workers donate the bottom half of their private stack (the work they
+//! would reach last) to the shared queue whenever it runs empty, so load
+//! balance never depends on the initial subtree split.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 use tpa_obs::{Counter, Gauge, Metrics, Probe, WorkerSnapshot};
 use tpa_tso::{Directive, Machine, MemoryModel, StateKey, SymmetryGroup, System};
 
-use crate::cache::{Rank, StateCache};
-use crate::checkpoint::{CandidateData, Counters, FrontierNode};
+use crate::cache::StateCache;
+use crate::checkpoint::{Counters, FrontierNode};
 use crate::explore::{
     enabled_all, panic_message, ExploreConfig, ExploreStats, FoundViolation, IncompleteReason,
 };
-use crate::invariant::{Invariant, Violation};
+use crate::invariant::Invariant;
 use crate::sleep::SleepSet;
 
 /// How many node expansions a worker performs between probe snapshots.
@@ -104,11 +96,10 @@ impl SearchMetrics {
 }
 
 /// The frozen image of a mid-flight search, handed to the checkpoint
-/// emitter: cumulative counters (resume base included), the best
-/// violation candidate, the explicit frontier and the full state cache.
+/// emitter: cumulative counters (resume base included), the explicit
+/// frontier and the full state cache.
 pub(crate) struct SnapshotData {
     pub counters: Counters,
-    pub candidate: Option<CandidateData>,
     pub frontier: Vec<FrontierNode>,
     pub cache: Vec<(u64, Vec<crate::checkpoint::CacheEntryData>)>,
 }
@@ -128,18 +119,17 @@ pub(crate) struct CheckpointHooks<'a> {
 }
 
 /// A decoded checkpoint readied for [`run_exhaustive`]: base counters to
-/// fold into reported stats, the candidate and frontier to seed, and the
-/// cache image to import.
+/// fold into reported stats, the frontier to seed, and the cache image to
+/// import.
 pub(crate) struct ResumeSeed {
     pub counters: Counters,
-    pub candidate: Option<CandidateData>,
     pub frontier: Vec<FrontierNode>,
     pub cache: Vec<(u64, Vec<crate::checkpoint::CacheEntryData>)>,
 }
 
 /// What [`run_exhaustive`] hands back.
 pub(crate) struct ExhaustiveOutcome {
-    /// The lexicographically least violation, if any.
+    /// The first violation seen, if any.
     pub found: Option<FoundViolation>,
     /// Aggregate search counters (resume base included).
     pub stats: ExploreStats,
@@ -155,16 +145,8 @@ struct Node {
     machine: Machine,
     sleep: SleepSet,
     depth: u32,
-    rank: Rank,
     /// The schedule from the root (the witness prefix).
     path: Vec<Directive>,
-}
-
-/// A violation candidate, ordered by the rank of the node that exhibited
-/// it.
-struct Candidate {
-    rank: Rank,
-    found: FoundViolation,
 }
 
 struct WorkQueue {
@@ -206,6 +188,19 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
+    /// Adds `other`'s counters to this worker's (the high-water mark
+    /// takes the maximum).
+    pub(crate) fn absorb(&mut self, other: &WorkerStats) {
+        self.nodes_expanded += other.nodes_expanded;
+        self.transitions += other.transitions;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.sleep_prunes += other.sleep_prunes;
+        self.donated += other.donated;
+        self.steals += other.steals;
+        self.max_frontier = self.max_frontier.max(other.max_frontier);
+    }
+
     pub(crate) fn snapshot(&self, frontier_depth: u32, done: bool) -> WorkerSnapshot {
         WorkerSnapshot {
             worker: self.worker,
@@ -231,8 +226,8 @@ struct Engine<'a> {
     pruned_sleep: AtomicU64,
     cache_skips: AtomicU64,
     truncated_paths: AtomicU64,
-    /// Some abort condition hit (budget, deadline, worker panic): stop
-    /// everything, report incomplete.
+    /// Some abort condition hit (budget, deadline, worker panic, or a
+    /// violation): stop everything.
     aborted: AtomicBool,
     /// The first abort condition observed; later ones are ignored.
     abort_reason: Mutex<Option<IncompleteReason>>,
@@ -255,10 +250,8 @@ struct Engine<'a> {
     /// Frontier nodes parked by wound-down workers, collected by the run
     /// loop once the thread scope joins.
     suspended: Mutex<Vec<Node>>,
-    /// Fast path for the best-candidate check (avoids the mutex while no
-    /// violation has been found, i.e. almost always).
-    found_any: AtomicBool,
-    best: Mutex<Option<Candidate>>,
+    /// The first violation seen; it ends the search.
+    found: Mutex<Option<FoundViolation>>,
     work: Mutex<WorkQueue>,
     available: Condvar,
     /// Dense worker-index allocator (workers self-assign on start).
@@ -268,9 +261,9 @@ struct Engine<'a> {
     /// Telemetry sink: periodic and final [`WorkerSnapshot`]s.
     probe: Option<&'a dyn Probe>,
     /// When present, states are cached under their canonical (orbit-
-    /// minimal) key and sleep sets are relabeled to match; ranks, paths
-    /// and the frontier stay concrete, so the reported witness is still
-    /// the lexicographically least *un-renamed* schedule.
+    /// minimal) key and sleep sets are relabeled to match; paths and the
+    /// frontier stay concrete, so the reported witness is an *un-renamed*
+    /// schedule.
     symmetry: Option<&'a SymmetryGroup>,
     /// Pre-resolved registry handles; `None` costs one branch per site,
     /// like a disabled probe.
@@ -305,12 +298,14 @@ fn cache_coords(
 }
 
 /// Explores every schedule of `system` up to `config.max_steps` steps
-/// across `threads` workers, returning the lexicographically least
-/// violation found (if any) and the search counters.
+/// across `threads` workers, returning the first violation seen (if any)
+/// and the search counters.
 ///
-/// `threads == 1` runs entirely on the calling thread. Any thread count
-/// yields the same verdict, the same witness schedule, and (on complete
-/// passing runs) the same `unique_states`; `transitions` and the pruning
+/// `threads == 1` runs entirely on the calling thread, and a violation it
+/// returns is the first one a depth-first search meets. Any thread count
+/// yields the same verdict and (on complete passing runs) the same
+/// `unique_states`; with more than one thread the violation returned is
+/// whichever one a worker saw first. `transitions` and the pruning
 /// counters may differ, since workers race to states that then need no
 /// re-expansion.
 ///
@@ -320,16 +315,16 @@ fn cache_coords(
 /// [`WorkerStats`] are each worker's final counters, in worker order.
 ///
 /// `resume` seeds the search from a decoded checkpoint instead of the
-/// root: the cache image is re-imported, the candidate re-offered, and
-/// the frontier machines rebuilt by replaying their schedule prefixes.
-/// `checkpoints` arms snapshotting: periodically every
-/// `hooks.every` node expansions, and unconditionally when an abort
-/// (deadline, budget, worker panic) fires. Both together make
-/// interrupt-then-resume indistinguishable — verdict, witness and state
-/// counts — from a run that was never interrupted; transition and
-/// pruning counters may drift, exactly as they already do across thread
-/// counts. Note the transition budget and deadline are *per leg*: a
-/// resumed run brings fresh ones.
+/// root: the cache image is re-imported and the frontier machines rebuilt
+/// by replaying their schedule prefixes. `checkpoints` arms snapshotting:
+/// periodically every `hooks.every` node expansions, and unconditionally
+/// when an abort (deadline, budget, worker panic) fires. A search stopped
+/// by a violation writes no checkpoint: its verdict is final. Together
+/// they make interrupt-then-resume indistinguishable — verdict and state
+/// counts — from a run that was never interrupted; transition and pruning
+/// counters may drift, exactly as they already do across thread counts.
+/// Note the transition budget and deadline are *per leg*: a resumed run
+/// brings fresh ones.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_exhaustive(
     system: &dyn System,
@@ -382,13 +377,7 @@ pub(crate) fn run_exhaustive(
         }
     }
 
-    // Backend choice is pure storage: both implement the identical
-    // subsumption protocol, so the search result cannot depend on it.
-    let cache = if config.store_cache {
-        StateCache::new_store()
-    } else {
-        StateCache::new(if threads == 1 { 1 } else { threads * 8 })
-    };
+    let cache = StateCache::new(if threads == 1 { 1 } else { threads * 8 });
     let engine = Engine {
         invariants,
         config,
@@ -410,8 +399,7 @@ pub(crate) fn run_exhaustive(
         pause: AtomicBool::new(false),
         capture: checkpoints.is_some(),
         suspended: Mutex::new(Vec::new()),
-        found_any: AtomicBool::new(false),
-        best: Mutex::new(None),
+        found: Mutex::new(None),
         work: Mutex::new(WorkQueue {
             queue: VecDeque::new(),
             active: threads,
@@ -434,11 +422,11 @@ pub(crate) fn run_exhaustive(
 
     match resume {
         None => {
-            let root_rank: Rank = Arc::from(&[] as &[u32]);
             let (root_key, _) = cache_coords(&root, &SleepSet::empty(), symmetry);
-            engine
-                .cache
-                .try_visit(root_key, &SleepSet::empty(), 0, &root_rank);
+            engine.cache.try_visit(root_key, &SleepSet::empty(), 0);
+            if let Some(m) = metrics {
+                m.cache_misses.incr();
+            }
             engine
                 .work
                 .lock()
@@ -448,7 +436,6 @@ pub(crate) fn run_exhaustive(
                     machine: root,
                     sleep: SleepSet::empty(),
                     depth: 0,
-                    rank: root_rank,
                     path: Vec::new(),
                 });
         }
@@ -476,6 +463,9 @@ pub(crate) fn run_exhaustive(
         let aborted = engine.aborted.load(Ordering::Relaxed);
         if !paused && !aborted {
             break; // frontier drained: the search is complete
+        }
+        if engine.found.lock().expect("found slot poisoned").is_some() {
+            break; // a violation is final: there is nothing to resume
         }
         let Some(hooks) = checkpoints else {
             break; // aborted, checkpointing off: report incomplete as ever
@@ -522,7 +512,9 @@ pub(crate) fn run_exhaustive(
         cache_skips: base.cache_skips + engine.cache_skips.load(Ordering::Relaxed),
         unique_states: engine.cache.unique_states(),
         truncated_paths: base.truncated_paths + engine.truncated_paths.load(Ordering::Relaxed),
-        complete: !engine.aborted.load(Ordering::Relaxed) && incomplete.is_none(),
+        // A violation stops the search without an incomplete reason: its
+        // verdict is final, so it counts as complete.
+        complete: incomplete.is_none(),
         incomplete,
     };
     // A panicked worker may have poisoned these while dying; the surviving
@@ -537,25 +529,15 @@ pub(crate) fn run_exhaustive(
     let mut workers: Vec<WorkerStats> = Vec::new();
     for ws in retired {
         match workers.iter_mut().find(|w| w.worker == ws.worker) {
-            Some(w) => {
-                w.nodes_expanded += ws.nodes_expanded;
-                w.transitions += ws.transitions;
-                w.cache_hits += ws.cache_hits;
-                w.cache_misses += ws.cache_misses;
-                w.sleep_prunes += ws.sleep_prunes;
-                w.donated += ws.donated;
-                w.steals += ws.steals;
-                w.max_frontier = w.max_frontier.max(ws.max_frontier);
-            }
+            Some(w) => w.absorb(&ws),
             None => workers.push(ws),
         }
     }
     workers.sort_by_key(|w| w.worker);
     let found = engine
-        .best
+        .found
         .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .map(|c| c.found);
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     ExhaustiveOutcome {
         found,
         stats,
@@ -566,16 +548,16 @@ pub(crate) fn run_exhaustive(
 
 impl Engine<'_> {
     /// Seeds the engine from a decoded checkpoint: re-imports the cache
-    /// image, re-offers the violation candidate, and rebuilds each
-    /// frontier machine by replaying its schedule prefix from the
-    /// initial state (checkpoints store schedules, not machine guts —
-    /// the machine's own `step` is the deserialiser, so a checkpoint can
-    /// never smuggle in a state the system cannot actually reach).
+    /// image and rebuilds each frontier machine by replaying its schedule
+    /// prefix from the initial state (checkpoints store schedules, not
+    /// machine guts — the machine's own `step` is the deserialiser, so a
+    /// checkpoint can never smuggle in a state the system cannot
+    /// actually reach).
     ///
-    /// Panics if the checkpoint disagrees with the system (a prefix
-    /// fails to replay, or the candidate names an unknown invariant);
-    /// [`crate::Checker::resume_from`] verifies the fingerprint first,
-    /// so reaching either panic means the caller bypassed it.
+    /// Panics if a prefix fails to replay, i.e. the checkpoint disagrees
+    /// with the system; [`crate::Checker::resume_from`] verifies the
+    /// fingerprint first, so reaching the panic means the caller
+    /// bypassed it.
     fn seed_resume(&self, system: &dyn System, model: MemoryModel, seed: ResumeSeed) {
         for (key, entries) in &seed.cache {
             for e in entries {
@@ -583,37 +565,12 @@ impl Engine<'_> {
                 for &d in &e.sleep {
                     sleep.insert(d);
                 }
-                let rank: Rank = Arc::from(e.rank.as_slice());
                 // Imports are always accepted (live entries are pairwise
                 // non-subsuming), and crucially the key is recorded even
                 // if one were not — `unique_states` survives the round
                 // trip exactly.
-                self.cache.try_visit(StateKey(*key), &sleep, e.depth, &rank);
+                self.cache.try_visit(StateKey(*key), &sleep, e.depth);
             }
-        }
-        if let Some(c) = &seed.candidate {
-            let invariant = self
-                .invariants
-                .iter()
-                .map(|i| i.name())
-                .find(|n| *n == c.invariant)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "resume: checkpoint candidate names invariant {:?}, \
-                         which is not in this run's battery",
-                        c.invariant
-                    )
-                });
-            self.offer(Candidate {
-                rank: Arc::from(c.rank.as_slice()),
-                found: FoundViolation {
-                    violation: Violation {
-                        invariant,
-                        detail: c.detail.clone(),
-                    },
-                    schedule: c.schedule.clone(),
-                },
-            });
         }
         let mut st = self.work.lock().expect("work queue poisoned");
         for node in &seed.frontier {
@@ -636,38 +593,23 @@ impl Engine<'_> {
                 machine,
                 sleep,
                 depth: node.path.len() as u32,
-                rank: Arc::from(node.rank.as_slice()),
                 path: node.path.clone(),
             });
         }
     }
 
     /// The frozen search as checkpoint data. Callable only while workers
-    /// are joined (`nodes` is the drained frontier); `base` is the resume
-    /// base folded into the cumulative counters.
+    /// are joined (`nodes` is the drained frontier, in the order the
+    /// workers will take it up again); `base` is the resume base folded
+    /// into the cumulative counters.
     fn snapshot(&self, base: &Counters, nodes: &[Node]) -> SnapshotData {
-        let mut frontier: Vec<FrontierNode> = nodes
+        let frontier = nodes
             .iter()
             .map(|n| FrontierNode {
-                rank: n.rank.to_vec(),
                 sleep: n.sleep.iter().collect(),
                 path: n.path.clone(),
             })
             .collect();
-        // Sort by rank so checkpoint bytes do not depend on which worker
-        // parked which subtree.
-        frontier.sort_by(|a, b| a.rank.cmp(&b.rank));
-        let candidate = self
-            .best
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .as_ref()
-            .map(|c| CandidateData {
-                rank: c.rank.to_vec(),
-                invariant: c.found.violation.invariant.to_owned(),
-                detail: c.found.violation.detail.clone(),
-                schedule: c.found.schedule.clone(),
-            });
         SnapshotData {
             counters: Counters {
                 transitions: base.transitions + self.transitions.load(Ordering::Relaxed),
@@ -676,22 +618,34 @@ impl Engine<'_> {
                 truncated_paths: base.truncated_paths
                     + self.truncated_paths.load(Ordering::Relaxed),
             },
-            candidate,
             frontier,
             cache: self.cache.export(),
         }
     }
 
-    /// Records the first abort condition and wakes everyone so the search
-    /// can wind down. Later reasons are ignored: the first one is what the
-    /// verdict reports.
+    /// Records the first abort condition and winds the search down.
+    /// Later reasons are ignored: the first one is what the verdict
+    /// reports.
     fn abort(&self, reason: IncompleteReason) {
-        let mut slot = self
-            .abort_reason
+        self.abort_reason
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        slot.get_or_insert(reason);
-        drop(slot);
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .get_or_insert(reason);
+        self.stop();
+    }
+
+    /// Records the first violation seen and winds the search down, as an
+    /// abort does but without an incomplete reason.
+    fn violated(&self, found: FoundViolation) {
+        self.found
+            .lock()
+            .expect("found slot poisoned")
+            .get_or_insert(found);
+        self.stop();
+    }
+
+    /// Tells every worker to wind down and wakes the idle ones.
+    fn stop(&self) {
         self.aborted.store(true, Ordering::Relaxed);
         self.available.notify_all();
     }
@@ -723,8 +677,10 @@ impl Engine<'_> {
                 .suspended
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
+            // Top of the stack first: taken back up from the front of the
+            // queue, a 1-thread search resumes its depth-first order.
             suspended.extend(in_flight.take());
-            suspended.append(&mut local);
+            suspended.extend(local.drain(..).rev());
         }
     }
 
@@ -759,8 +715,8 @@ impl Engine<'_> {
             if keep {
                 // Interrupted mid-expansion: the node goes back on the
                 // frontier. Re-expansion is sound and cheap — children it
-                // already visited sit in the cache at their own ranks and
-                // suppress themselves.
+                // already visited sit in the cache and suppress
+                // themselves.
                 local.push(node);
             }
             ws.max_frontier = ws.max_frontier.max(local.len() as u32);
@@ -826,40 +782,13 @@ impl Engine<'_> {
         }
     }
 
-    /// Whether `rank` can still beat the best violation found so far.
-    /// Subtrees that cannot are abandoned — this is how a found violation
-    /// cooperatively cancels the rest of the search without giving up
-    /// witness determinism.
-    fn still_viable(&self, rank: &Rank) -> bool {
-        if !self.found_any.load(Ordering::Acquire) {
-            return true;
-        }
-        match &*self.best.lock().expect("best-candidate slot poisoned") {
-            Some(c) => rank.as_ref() < c.rank.as_ref(),
-            None => true,
-        }
-    }
-
-    fn offer(&self, cand: Candidate) {
-        let mut best = self.best.lock().expect("best-candidate slot poisoned");
-        match &*best {
-            Some(c) if c.rank.as_ref() <= cand.rank.as_ref() => {}
-            _ => *best = Some(cand),
-        }
-        self.found_any.store(true, Ordering::Release);
-    }
-
     /// Expands `node`, pushing its unexplored children onto `local` (in
-    /// reverse sibling order, so the lexicographically least pops
-    /// first). Returns `true` when the expansion was interrupted — by a
-    /// pause request, the deadline, or the transition budget — and the
-    /// node must therefore stay on the frontier; `false` when the node
-    /// is spent (fully expanded, pruned as non-viable, or retired by
-    /// offering a violation candidate that later siblings cannot beat).
+    /// reverse sibling order, so the first sibling pops first). Returns
+    /// `true` when the expansion was interrupted — by a pause request,
+    /// the deadline, or the transition budget — and the node must
+    /// therefore stay on the frontier; `false` when the node is spent
+    /// (fully expanded, or a child violated and the search is over).
     fn expand(&self, node: &Node, local: &mut Vec<Node>, ws: &mut WorkerStats) -> bool {
-        if !self.still_viable(&node.rank) {
-            return false;
-        }
         if self.aborted.load(Ordering::Relaxed) || self.pause.load(Ordering::Relaxed) {
             return true; // frozen before any work on this node
         }
@@ -890,7 +819,7 @@ impl Engine<'_> {
         // visited in the cache; that pairing is what keeps resumed
         // searches sound.
         let start = local.len();
-        for (i, d) in enabled_all(&node.machine).into_iter().enumerate() {
+        for d in enabled_all(&node.machine) {
             if node.sleep.contains(d) {
                 self.pruned_sleep.fetch_add(1, Ordering::Relaxed);
                 ws.sleep_prunes += 1;
@@ -913,25 +842,14 @@ impl Engine<'_> {
                 .step(d)
                 .unwrap_or_else(|e| panic!("explorer: enabled directive {d:?} failed: {e:?}"));
 
-            let child_rank: Rank = {
-                let mut r = Vec::with_capacity(node.rank.len() + 1);
-                r.extend_from_slice(&node.rank);
-                r.push(i as u32);
-                Arc::from(r)
-            };
             if let Some(v) = self.invariants.iter().find_map(|inv| inv.check(&child)) {
                 let mut schedule = node.path.clone();
                 schedule.push(d);
-                self.offer(Candidate {
-                    rank: child_rank,
-                    found: FoundViolation {
-                        violation: v,
-                        schedule,
-                    },
+                self.violated(FoundViolation {
+                    violation: v,
+                    schedule,
                 });
-                // Later siblings and their subtrees all have greater
-                // ranks — none can improve on this candidate.
-                break;
+                return false;
             }
 
             // `d`'s siblings-already-done and inherited sleepers stay
@@ -961,10 +879,7 @@ impl Engine<'_> {
                 }
             }
             let cache_sleep = renamed_sleep.as_ref().unwrap_or(&child_sleep);
-            if !self
-                .cache
-                .try_visit(child_key, cache_sleep, child_depth, &child_rank)
-            {
+            if !self.cache.try_visit(child_key, cache_sleep, child_depth) {
                 self.cache_skips.fetch_add(1, Ordering::Relaxed);
                 ws.cache_hits += 1;
                 if let Some(m) = self.metrics {
@@ -987,13 +902,11 @@ impl Engine<'_> {
                 machine: child,
                 sleep: child_sleep,
                 depth: child_depth,
-                rank: child_rank,
                 path,
             });
         }
-        // Reverse this node's children so the lexicographically least is
-        // popped (and thus expanded) first — workers chase the same
-        // frontier order a sequential DFS would.
+        // Reverse this node's children so the first sibling is popped
+        // (and thus expanded) first — the order a sequential DFS takes.
         local[start..].reverse();
         false
     }

@@ -43,9 +43,11 @@ pub enum Verdict {
         /// Diagnosis from the violating state.
         detail: String,
         /// The witness schedule exactly as the search found it. For
-        /// exhaustive search this is deterministic — the
-        /// lexicographically least violating schedule — regardless of
-        /// thread count.
+        /// exhaustive search this is the first violation a 1-thread
+        /// depth-first search from the root meets, at any thread count
+        /// and across any interrupt/resume chain: a violation found on
+        /// more threads, or after a resume, is re-derived by such a
+        /// search ([`crate::Checker::exhaustive`]).
         found: Vec<Directive>,
         /// Length of the schedule as found (`found.len()`).
         found_len: usize,
@@ -126,8 +128,9 @@ pub struct Report {
     pub symmetry: bool,
     /// Whether the search ran the system's compiled bytecode
     /// ([`tpa_tso::VmSystem`]) instead of its native programs. `false`
-    /// when [`crate::Checker::vm`] was not requested or the system has no
-    /// compiler ([`tpa_tso::System::compile_vm`] returned `None`).
+    /// when [`crate::Execution::Compiled`] was not requested or the
+    /// system has no compiler ([`tpa_tso::System::compile_vm`] returned
+    /// `None`).
     pub vm: bool,
     /// How many biased random schedules the deadline-degradation swarm
     /// fallback ran after an exhaustive deadline expiry

@@ -299,8 +299,9 @@ fn mismatched_battery_is_incompatible() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Loading a file that is not there, or not a checkpoint at all, is an
-/// error with the path in it — never a panic.
+/// Loading a file that is not there, not a checkpoint at all, or a
+/// checkpoint of the older version-1 format (which carried rank tags
+/// and a violation candidate) is an error — never a panic.
 #[test]
 fn missing_and_alien_files_error_cleanly() {
     let dir = scratch("alien");
@@ -325,5 +326,26 @@ fn missing_and_alien_files_error_cleanly() {
         err.to_string().contains("bad magic"),
         "diagnostic should say this is not a checkpoint: {err}"
     );
+    // A version-1 header over an otherwise current encoding.
+    let (ckpt, ckpt_dir) = real_checkpoint(&store_buffer(), "v1");
+    let mut v1 = ckpt.encode();
+    v1[..8].copy_from_slice(b"TPACKPT1");
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let old = dir.join("version-1.tpack");
+    std::fs::write(&old, &v1).unwrap();
+    let err = Checkpoint::load(&old).expect_err("version-1 file");
+    assert!(
+        matches!(err, CheckpointError::Corrupt { offset: 8, .. }),
+        "a version-1 file should be refused at its version field: {err}"
+    );
+    assert!(
+        err.to_string().contains("unsupported checkpoint version 1"),
+        "diagnostic should name the old version: {err}"
+    );
+    assert!(
+        Checker::new(&store_buffer()).resume(&old).is_err(),
+        "Checker::resume accepted a version-1 checkpoint"
+    );
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }

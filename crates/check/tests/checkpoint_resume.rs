@@ -7,8 +7,8 @@
 //! interrupt deterministic, unlike a wall-clock deadline) and the chain
 //! is resumed — at a *different* thread count each leg, under both
 //! memory models, native and VM execution, concrete and canonical keys —
-//! until it completes. The final verdict, the lexicographically least
-//! witness and the unique/canonical state counts must be bit-equal to
+//! until it completes. The final verdict, the witness and the
+//! unique/canonical state counts must be bit-equal to
 //! the control; per-leg effort counters legitimately differ, exactly as
 //! they already do across thread counts.
 
@@ -18,7 +18,7 @@ use tpa_algos::sim::bakery::BakeryLock;
 use tpa_check::invariant::{Invariant, Violation};
 use tpa_check::{Checker, Execution, Features, Report, StateKeys, Verdict};
 use tpa_tso::scripted::{Instr, ScriptSystem};
-use tpa_tso::{Machine, MemoryModel};
+use tpa_tso::{Machine, MemoryModel, System};
 
 /// A fresh scratch directory under the system temp dir, unique per test.
 fn scratch(tag: &str) -> PathBuf {
@@ -139,10 +139,10 @@ fn portfolio_interrupt_resume_matches_uninterrupted() {
     }
 }
 
-/// A violating search: the fenceless bakery's lexicographically least
-/// witness must survive interruption mid-hunt — including when the best
-/// candidate so far is checkpointed and a better (lex-smaller) one is
-/// found only after resuming.
+/// A violating search: the fenceless bakery's witness must survive
+/// interruption mid-hunt. The resumed leg that finds the violation has
+/// the checker rerun a 1-thread search from the root, so the chain
+/// reports the same witness as the uninterrupted 1-thread control.
 #[test]
 fn violation_witness_survives_interrupt_resume() {
     let broken = BakeryLock::without_doorway_fence(2, 1);
@@ -296,8 +296,8 @@ fn store_buffer() -> ScriptSystem {
 
 /// A custom invariant battery travels through the fingerprint: the
 /// resumed checker must configure the same battery *before* resuming
-/// (the candidate's invariant is resolved by name from it), and the
-/// witness matches the control.
+/// (its names are part of the fingerprint), and the witness matches the
+/// control.
 #[test]
 fn custom_battery_resumes_and_preserves_the_witness() {
     let sys = store_buffer();
@@ -327,49 +327,71 @@ fn custom_battery_resumes_and_preserves_the_witness() {
 
 /// Periodic checkpoints (`checkpoint_every`) must not perturb the search
 /// that emits them, and any mid-flight snapshot must resume to the
-/// control's exact result — twice, to pin resume determinism.
+/// control's exact result — twice, to pin resume determinism. Both a
+/// passing search (tas, 2 threads) and a violating one (the fenceless
+/// bakery, 1 thread: a pause must hand the frontier back in depth-first
+/// order, since a 1-thread search that was not resumed reports its own
+/// first violation).
 #[test]
 fn periodic_checkpoints_are_resumable_and_non_perturbing() {
-    let lock = tpa_algos::lock_by_name("tas", 2, 1).unwrap();
-    let control = Checker::new(lock.as_ref())
-        .max_steps(40)
-        .threads(2)
-        .exhaustive();
-    assert!(control.stats.complete);
-    let dir = scratch("periodic");
-    let with_ckpt = Checker::new(lock.as_ref())
-        .max_steps(40)
-        .threads(2)
-        .checkpoint_dir(&*dir)
-        .checkpoint_every(40)
-        .exhaustive();
-    assert_identical(&control, &with_ckpt, "tas with periodic checkpoints");
-    let mut snapshots: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("scratch dir readable")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "tpack"))
-        .collect();
-    snapshots.sort();
-    assert!(
-        !snapshots.is_empty(),
-        "a 40-expansion cadence must snapshot this search at least once"
-    );
-    let resume_from = |path: &Path| {
-        let report = Checker::new(lock.as_ref())
-            .threads(4)
-            .resume(path)
-            .expect("periodic snapshot must be compatible")
+    let cases: Vec<(Box<dyn System>, usize, usize)> = vec![
+        (tpa_algos::lock_by_name("tas", 2, 1).unwrap(), 40, 2),
+        (Box::new(BakeryLock::without_doorway_fence(2, 1)), 60, 1),
+    ];
+    for (sys, steps, threads) in &cases {
+        let label = sys.name().to_string();
+        let control = Checker::new(sys.as_ref())
+            .max_steps(*steps)
+            .threads(*threads)
             .exhaustive();
-        assert_identical(&control, &report, "tas resumed from a periodic snapshot");
-        report
-    };
-    let first = resume_from(&snapshots[0]);
-    let again = resume_from(&snapshots[0]);
-    assert_eq!(
-        first.stats.unique_states, again.stats.unique_states,
-        "resuming the same snapshot twice diverged"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        assert!(control.stats.complete);
+        let dir = scratch("periodic");
+        let with_ckpt = Checker::new(sys.as_ref())
+            .max_steps(*steps)
+            .threads(*threads)
+            .checkpoint_dir(&*dir)
+            .checkpoint_every(40)
+            .exhaustive();
+        assert_identical(
+            &control,
+            &with_ckpt,
+            &format!("{label} with periodic checkpoints"),
+        );
+        let mut snapshots: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .expect("scratch dir readable")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "tpack"))
+            .collect();
+        snapshots.sort();
+        assert!(
+            !snapshots.is_empty(),
+            "{label}: a 40-expansion cadence must snapshot this search at least once"
+        );
+        let resume_from = |path: &Path| {
+            let report = Checker::new(sys.as_ref())
+                .threads(4)
+                .resume(path)
+                .expect("periodic snapshot must be compatible")
+                .exhaustive();
+            assert_identical(
+                &control,
+                &report,
+                &format!("{label} resumed from a periodic snapshot"),
+            );
+            report
+        };
+        let first = resume_from(&snapshots[0]);
+        let again = resume_from(&snapshots[0]);
+        // A violating search stops at first sight, so only a complete
+        // pass has a thread-count-independent state count.
+        if control.verdict.passed() {
+            assert_eq!(
+                first.stats.unique_states, again.stats.unique_states,
+                "{label}: resuming the same snapshot twice diverged"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The run ledger records resume lineage: the interrupted run carries

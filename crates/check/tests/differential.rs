@@ -2,8 +2,8 @@
 //! identical* to the sequential one.
 //!
 //! The engine promises that thread count changes wall-clock time and
-//! nothing else: the verdict, the witness schedule (lexicographically
-//! least violating schedule), and — on complete passing runs — the
+//! nothing else: the verdict, the witness schedule (the first violation
+//! a 1-thread depth-first search meets), and — on complete passing runs — the
 //! number of distinct states visited are all deterministic. Effort
 //! counters (`transitions`, pruning counts) are *not* compared: workers
 //! legitimately race to states that then need no re-expansion, so the

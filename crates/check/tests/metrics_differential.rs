@@ -91,9 +91,9 @@ fn portfolio_is_unchanged_by_the_registry() {
                     "{}: registry transition count drifted",
                     bare.algo
                 );
-                // A miss fires on first sight of a state *and* on a
-                // rank-tag upgrade that forces re-expansion, so misses
-                // bound unique states from above.
+                // A miss fires on every cache admission, the root's
+                // included, and every distinct state is admitted at
+                // least once, so misses bound unique states from above.
                 let snap = metrics.snapshot();
                 assert!(
                     snap.counter("search.cache_misses") >= metered.stats.unique_states as u64,
@@ -106,7 +106,7 @@ fn portfolio_is_unchanged_by_the_registry() {
 }
 
 /// Negative control: the fenceless bakery is caught with the identical
-/// lexicographically-least witness and the identical ddmin-shrunk
+/// witness and the identical ddmin-shrunk
 /// schedule whether or not a registry is attached, at 1 and 4 threads —
 /// and the shrink instrumentation reports its effort.
 #[test]

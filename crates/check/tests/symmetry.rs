@@ -2,7 +2,7 @@
 //!
 //! Symmetry reduction must be a pure cache optimisation: turning it on
 //! may only shrink the visited-state count — the verdict, and on a
-//! violation the (lexicographically least) witness schedule, are
+//! violation the (1-thread depth-first) witness schedule, are
 //! identical to the concrete search. These tests pin that contract over
 //! the lock portfolio, check that the canonical-state count is itself
 //! deterministic across thread counts, and cover both fallback paths: a
@@ -98,7 +98,7 @@ fn canonical_state_count_is_stable_across_thread_counts() {
 }
 
 /// Negative control, fallback path: the fenceless bakery never declared
-/// symmetry, so `.symmetry(true)` is a no-op — and the deterministic
+/// symmetry, so `Features::canonical()` is a no-op — and the deterministic
 /// witness is bit-for-bit the concrete one.
 #[test]
 fn fenceless_bakery_witness_survives_the_symmetry_flag() {
@@ -151,8 +151,8 @@ fn symmetric_store_buffer() -> ScriptSystem {
 
 /// Negative control, engaged path: a *violating* system where symmetry
 /// genuinely engages. The canonical cache merges the mirror-image
-/// states, yet the reported witness is still the concrete
-/// lexicographically-least violating schedule.
+/// states, yet the reported witness is still the concrete schedule the
+/// concrete search reports.
 #[test]
 fn engaged_symmetry_preserves_the_witness_on_a_violating_system() {
     let sys = symmetric_store_buffer();

@@ -3,8 +3,8 @@
 //!
 //! `Execution::Compiled` swaps every process for its [`tpa_tso::VmProgram`]
 //! (via [`tpa_tso::System::compile_vm`]) and promises that nothing else
-//! changes: the verdict, the witness schedule (lexicographically least
-//! violating schedule), the unique-state count of a complete passing
+//! changes: the verdict, the witness schedule (the first violation a
+//! 1-thread depth-first search meets), the unique-state count of a complete passing
 //! search, and — with `StateKeys::Canonical` — the canonical-state count are
 //! all pinned against the native run here, over the whole lock portfolio,
 //! under both memory models, at several thread counts. Only wall-clock
