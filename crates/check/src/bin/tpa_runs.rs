@@ -94,7 +94,14 @@ fn main() -> ExitCode {
     }
 }
 
+/// Opens an existing ledger for `list`, `show` and `diff`. A path that
+/// is not a directory is an error rather than an empty ledger:
+/// [`Ledger::open`] would create it, so a mistyped path would leave
+/// directories behind and read as "empty".
 fn open(dir: &Path) -> Result<Ledger, String> {
+    if !dir.is_dir() {
+        return Err(format!("no ledger at {}", dir.display()));
+    }
     Ledger::open(dir).map_err(|e| format!("cannot open ledger {}: {e}", dir.display()))
 }
 

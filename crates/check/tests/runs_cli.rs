@@ -1,7 +1,8 @@
 //! End-to-end tests for the `tpa_runs` binary against hand-damaged
 //! ledgers: `diff` must pair "latest" by `(created_us, seq, id)` rather
-//! than index-file position, and `list` must report torn/duplicate index
-//! lines instead of hiding them.
+//! than index-file position, `list` must report torn/duplicate index
+//! lines instead of hiding them, and the read-only commands must refuse
+//! a path that holds no ledger rather than create one.
 
 use std::fs;
 use std::io::Write as _;
@@ -131,4 +132,24 @@ fn list_on_a_clean_ledger_prints_no_warnings() {
     assert!(text.contains("2 runs"), "{text}");
     assert!(!text.contains("warning"), "{text}");
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn read_only_commands_on_a_missing_ledger_fail_and_create_nothing() {
+    let dir = scratch("missing");
+    let path = dir.to_str().unwrap();
+    for args in [
+        &["list", path][..],
+        &["show", path, "some-id"],
+        &["diff", path],
+        &["diff", path, "a", "b"],
+    ] {
+        let (ok, text) = run(args);
+        assert!(!ok, "{args:?} must fail on a missing ledger:\n{text}");
+        assert!(
+            text.contains(&format!("no ledger at {path}")),
+            "{args:?} must name the missing ledger, got:\n{text}"
+        );
+        assert!(!dir.exists(), "{args:?} created {path}");
+    }
 }

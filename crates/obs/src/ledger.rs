@@ -23,32 +23,30 @@
 //! number — a collision can slow an append down, never silently
 //! overwrite a record.
 //!
-//! In memory the ledger is a [`crate::store::BptreeMap`] keyed by
-//! `(created_us, seq, id)`: the durable `index.jsonl` is replayed into
-//! it on open (and incrementally on read, so appends from other handles
-//! and processes surface), [`Ledger::append`] is a write transaction,
-//! and every read ([`Ledger::read_index`], `tpa_runs list|show|diff`)
-//! is a snapshot that no concurrent writer can tear. Old ledger
-//! directories (any index/record written since PR 8, lineage keys
-//! included) load unchanged — the store is a cache over the same
-//! on-disk format, not a new one.
+//! Nothing is held in memory. Every read ([`Ledger::read_index`],
+//! `tpa_runs list|show|diff`) parses `index.jsonl` afresh, so it sees
+//! every append made so far by any handle or process, and it orders the
+//! entries by `(created_us, seq, id)`. Only newline-terminated lines
+//! count: a trailing line without its newline is an append still in
+//! flight, and is neither returned nor counted as damage. Ledger
+//! directories written by any earlier build (lineage keys included) load
+//! unchanged.
 //!
 //! This crate sits below `tpa-check` in the workspace graph, so the
 //! record speaks in plain strings and counter maps; the checker's
 //! `Report` → `RunRecord` translation lives in
 //! `crates/check/src/checker.rs`.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::{parse, Json};
 use crate::metrics::MetricsSnapshot;
-use crate::store::BptreeMap;
 
 /// The current `RunRecord` envelope version; bump on breaking shape
 /// changes so old ledgers stay readable by version sniffing.
@@ -426,8 +424,8 @@ pub struct IndexEntry {
 /// What [`Ledger::read_index_with_health`] had to skip or repair while
 /// assembling the index view: lines it could not parse (torn concurrent
 /// writes, hand-editing damage) and ids that appeared more than once
-/// (the pre-store append bug, or hand-merged ledgers). `tpa_runs list`
-/// surfaces these instead of silently hiding them.
+/// (ledgers written before the `create_new` id claim, or hand-merged
+/// ones). `tpa_runs list` surfaces these instead of silently hiding them.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct IndexHealth {
     /// Index lines that failed to parse or lacked the `id`/`path` fields.
@@ -445,7 +443,7 @@ impl IndexHealth {
     }
 }
 
-/// The store key for one index entry: creation order made explicit.
+/// The sort key of one index entry: creation order made explicit.
 /// Ordering by `(created_us, seq, id)` — timestamp, then the minting
 /// handle's sequence number, then the full id as an unambiguous
 /// tie-break — is what `tpa_runs diff` means by "latest": it does not
@@ -497,60 +495,28 @@ fn parse_index_line(line: &str) -> Option<IndexEntry> {
     })
 }
 
-/// Incremental-replay cursor over `index.jsonl`.
-struct ReplayState {
-    /// Byte offset up to which the index has been replayed into the
-    /// store. Only ever advanced past *complete* (newline-terminated)
-    /// lines, so a torn in-progress write is re-examined next time.
-    offset: u64,
-    /// Complete lines that failed to parse — counted once, when first
-    /// replayed.
-    torn: u64,
-    /// Same-key index lines that disagreed with an already-replayed
-    /// entry (duplicate ids from pre-`create_new` ledgers).
-    dups: u64,
-}
-
 /// A ledger directory handle. Creating one creates the directory (and
-/// `runs/`) if missing; appending assigns ids and timestamps.
-///
-/// Internally the index is a [`BptreeMap`] keyed by creation order (see
-/// [`RunKey`]): [`Ledger::append`] commits a write transaction per run,
-/// and every read is a point-in-time snapshot — a reader that raced a
-/// writer sees either all of an append or none of it, never a torn
-/// entry. The durable format on disk is unchanged; the store replays
-/// `index.jsonl` on open and incrementally on read, so appends made by
-/// other handles or other processes surface too.
+/// `runs/`) if missing; appending assigns ids and timestamps. The handle
+/// holds no index: [`Ledger::read_index`] parses `index.jsonl` on every
+/// call, so appends made by other handles or processes are always seen.
 pub struct Ledger {
     dir: PathBuf,
     seq: AtomicU64,
-    store: BptreeMap<RunKey, IndexEntry>,
-    replay: Mutex<ReplayState>,
 }
 
 impl Ledger {
-    /// Opens (creating if needed) the ledger at `dir` and replays any
-    /// existing `index.jsonl` into the in-memory store.
+    /// Opens (creating if needed) the ledger at `dir`. The index is not
+    /// read until [`Ledger::read_index`] asks for it.
     ///
     /// # Errors
     ///
-    /// Fails if the directory cannot be created or an existing index
-    /// cannot be read (unparseable *lines* are skipped and counted, but
-    /// an unreadable *file* is an error).
+    /// Fails if the directory cannot be created.
     pub fn open(dir: &Path) -> io::Result<Self> {
         fs::create_dir_all(dir.join("runs"))?;
-        let ledger = Ledger {
+        Ok(Ledger {
             dir: dir.to_path_buf(),
             seq: AtomicU64::new(0),
-            store: BptreeMap::new(),
-            replay: Mutex::new(ReplayState {
-                offset: 0,
-                torn: 0,
-                dups: 0,
-            }),
-        };
-        ledger.refresh()?;
-        Ok(ledger)
+        })
     }
 
     /// The ledger directory.
@@ -558,73 +524,9 @@ impl Ledger {
         &self.dir
     }
 
-    /// Replays index lines appended since the last replay into the
-    /// store (one write transaction per batch). If the index shrank —
-    /// someone rewrote it by hand — the store is rebuilt from scratch.
-    fn refresh(&self) -> io::Result<()> {
-        let mut replay = self.replay.lock().unwrap_or_else(|e| e.into_inner());
-        let path = self.dir.join("index.jsonl");
-        let mut file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let len = file.metadata()?.len();
-        let mut txn = self.store.write();
-        if len < replay.offset {
-            // The file shrank under us: replay everything again.
-            txn.clear();
-            replay.offset = 0;
-            replay.torn = 0;
-            replay.dups = 0;
-        }
-        if len == replay.offset {
-            txn.commit(); // publishes the rebuild when the file shrank to empty
-            return Ok(());
-        }
-        file.seek(SeekFrom::Start(replay.offset))?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
-        // Only newline-terminated lines are consumed; a trailing partial
-        // line is an append still in flight and is left for next time.
-        let complete = text.rfind('\n').map_or(0, |i| i + 1);
-        for line in text[..complete].lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Some(entry) = parse_index_line(line) else {
-                replay.torn += 1;
-                continue;
-            };
-            let key = RunKey::of(&entry);
-            match txn.get(&key) {
-                // Same line replayed twice (e.g. our own append): no-op.
-                Some(prev) if *prev == entry => {}
-                // A different line under the same key: keep the one
-                // whose record file exists, and count the duplicate
-                // (read_index applies the same rule across keys).
-                Some(prev) => {
-                    let prev_exists = self.dir.join(&prev.path).is_file();
-                    let new_exists = self.dir.join(&entry.path).is_file();
-                    if new_exists && !prev_exists {
-                        txn.insert(key, entry);
-                    }
-                    replay.dups += 1;
-                }
-                None => {
-                    txn.insert(key, entry);
-                }
-            }
-        }
-        txn.commit();
-        replay.offset += complete as u64;
-        Ok(())
-    }
-
     /// Appends `record` to the ledger: claims an id (see module docs),
     /// writes `runs/<id>.json` (temp + rename over the claimed file),
-    /// appends the index line, and commits the entry into the in-memory
-    /// store as one write transaction. Returns the assigned id.
+    /// and appends the index line. Returns the assigned id.
     ///
     /// # Errors
     ///
@@ -638,7 +540,7 @@ impl Ledger {
         // decides a winner and the loser retries with a fresh seq;
         // overwriting another handle's record is structurally
         // impossible. The loop terminates: seq strictly increases.
-        let (id, now, seq) = loop {
+        let (id, now) = loop {
             let now = SystemTime::now()
                 .duration_since(UNIX_EPOCH)
                 .map_or(0, |d| d.as_micros() as u64);
@@ -649,7 +551,7 @@ impl Ledger {
                 .create_new(true)
                 .open(self.dir.join(format!("runs/{id}.json")))
             {
-                Ok(_claim) => break (id, now, seq),
+                Ok(_claim) => break (id, now),
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
                 Err(e) => return Err(e),
             }
@@ -686,7 +588,7 @@ impl Ledger {
         if !record.resumed_from.is_empty() {
             line.insert("resumed".to_owned(), Json::Str(record.resumed_from.clone()));
         }
-        line.insert("path".to_owned(), Json::Str(rel.clone()));
+        line.insert("path".to_owned(), Json::Str(rel));
         let mut index = OpenOptions::new()
             .create(true)
             .append(true)
@@ -697,33 +599,6 @@ impl Ledger {
         let mut text = Json::Obj(line).render();
         text.push('\n');
         index.write_all(text.as_bytes())?;
-
-        // Commit the entry into the in-memory store so this handle's
-        // snapshots see the append immediately; the replay cursor will
-        // later walk over our own index line and no-op on the equal
-        // entry.
-        let entry = IndexEntry {
-            id: id.clone(),
-            created_us: now,
-            scenario: record.scenario.clone(),
-            algo: record.algo.clone(),
-            model: record.model.clone(),
-            mode: record.mode.clone(),
-            verdict: record.verdict.clone(),
-            checkpoint: record.checkpoint.clone(),
-            resumed_from: record.resumed_from.clone(),
-            path: rel,
-        };
-        let mut txn = self.store.write();
-        txn.insert(
-            RunKey {
-                created_us: now,
-                seq,
-                id: id.clone(),
-            },
-            entry,
-        );
-        txn.commit();
         Ok(id)
     }
 
@@ -745,49 +620,65 @@ impl Ledger {
     /// [`Ledger::read_index`], plus the [`IndexHealth`] counters saying
     /// how many torn lines were skipped and duplicate ids collapsed.
     ///
-    /// The view is a point-in-time snapshot of the store (refreshed
-    /// from disk first, so other handles' and processes' appends are
-    /// included): a writer committing concurrently is either entirely
-    /// visible or entirely absent. When one id appears under several
-    /// entries, the entry whose record file exists wins — the id
-    /// collision this repairs used to leave exactly one file behind.
+    /// One pass over `index.jsonl`: each newline-terminated line is
+    /// parsed (a complete line that does not parse is torn), and entries
+    /// are collected under their creation key. A repeated identical line
+    /// is a no-op; a different line under the same key, or another key
+    /// carrying an id already seen, is a duplicate, and the entry whose
+    /// record file exists wins — the id collision this repairs used to
+    /// leave exactly one file behind.
     ///
     /// # Errors
     ///
     /// Fails only if the index file exists but cannot be read.
     pub fn read_index_with_health(&self) -> io::Result<(Vec<IndexEntry>, IndexHealth)> {
-        self.refresh()?;
-        let snapshot = self.store.read();
-        let (torn, replay_dups) = {
-            let replay = self.replay.lock().unwrap_or_else(|e| e.into_inner());
-            (replay.torn, replay.dups)
+        let bytes = match fs::read(self.dir.join("index.jsonl")) {
+            Ok(b) => b,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
         };
-        let mut out: Vec<IndexEntry> = Vec::with_capacity(snapshot.len());
-        let mut by_id: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-        let mut duplicates = replay_dups;
-        for (_, entry) in snapshot.iter() {
+        // A trailing line without its newline is an append in flight.
+        let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let text = std::str::from_utf8(&bytes[..complete])
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let exists = |e: &IndexEntry| self.dir.join(&e.path).is_file();
+        let mut health = IndexHealth::default();
+        let mut by_key: BTreeMap<RunKey, IndexEntry> = BTreeMap::new();
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            let Some(entry) = parse_index_line(line) else {
+                health.torn_lines += 1;
+                continue;
+            };
+            match by_key.entry(RunKey::of(&entry)) {
+                Entry::Vacant(slot) => {
+                    slot.insert(entry);
+                }
+                Entry::Occupied(slot) if *slot.get() == entry => {}
+                Entry::Occupied(mut slot) => {
+                    if exists(&entry) && !exists(slot.get()) {
+                        slot.insert(entry);
+                    }
+                    health.duplicate_ids += 1;
+                }
+            }
+        }
+        let mut out: Vec<IndexEntry> = Vec::with_capacity(by_key.len());
+        let mut by_id: HashMap<String, usize> = HashMap::new();
+        for entry in by_key.into_values() {
             match by_id.get(&entry.id) {
                 Some(&i) => {
-                    duplicates += 1;
-                    let kept_exists = self.dir.join(&out[i].path).is_file();
-                    let new_exists = self.dir.join(&entry.path).is_file();
-                    if new_exists && !kept_exists {
-                        out[i] = entry.clone();
+                    health.duplicate_ids += 1;
+                    if exists(&entry) && !exists(&out[i]) {
+                        out[i] = entry;
                     }
                 }
                 None => {
                     by_id.insert(entry.id.clone(), out.len());
-                    out.push(entry.clone());
+                    out.push(entry);
                 }
             }
         }
-        Ok((
-            out,
-            IndexHealth {
-                torn_lines: torn,
-                duplicate_ids: duplicates,
-            },
-        ))
+        Ok((out, health))
     }
 
     /// Loads the full record of run `id`. Accepts unique id prefixes.
@@ -1033,6 +924,46 @@ mod tests {
             "must order by (created_us, seq, id): same-µs pair by seq, \
              clock-stepped t=50 before t=100"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An index line without its newline is an append still in flight:
+    /// a read neither returns it nor counts it as torn, and once the
+    /// rest of the line lands the entry is returned.
+    #[test]
+    fn a_line_without_its_newline_is_in_flight_not_torn() {
+        let dir = std::env::temp_dir().join(format!("tpa-ledger-inflight-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let ledger = Ledger::open(&dir).expect("open");
+        ledger
+            .append(&mut sample_record("done"))
+            .expect("append done");
+        let id = "0000000000000009-1-0000";
+        File::create(dir.join(format!("runs/{id}.json"))).expect("record");
+        let line = format!(
+            "{{\"id\":\"{id}\",\"t\":9,\"scenario\":\"late\",\"verdict\":\"pass\",\
+             \"path\":\"runs/{id}.json\"}}"
+        );
+        let mut index = OpenOptions::new()
+            .append(true)
+            .open(dir.join("index.jsonl"))
+            .expect("index");
+        // The line lands in pieces: first half, second half, newline.
+        // Until the newline is written it is in flight, not damage.
+        let (head, tail) = line.split_at(line.len() / 2);
+        for piece in [head, tail] {
+            index.write_all(piece.as_bytes()).expect("partial line");
+            let (entries, health) = ledger.read_index_with_health().expect("read");
+            assert_eq!(entries.len(), 1, "in-flight line returned");
+            assert_eq!(entries[0].scenario, "done");
+            assert_eq!(health, IndexHealth::default(), "in-flight line counted");
+        }
+        index.write_all(b"\n").expect("newline");
+        drop(index);
+        let (entries, health) = ledger.read_index_with_health().expect("read");
+        assert!(health.is_clean(), "{health:?}");
+        let scenarios: Vec<&str> = entries.iter().map(|e| e.scenario.as_str()).collect();
+        assert_eq!(scenarios, ["late", "done"], "the finished line is returned");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -25,8 +25,15 @@
 //! [`Recorder`] aggregates into a JSONL run log
 //! (schema-checked by [`schema::validate_lines`]), a Chrome
 //! trace-event/Perfetto export ([`perfetto`]), and an opt-in stderr
-//! heartbeat. The crate is dependency-free and sits below `tpa-tso` in
-//! the workspace graph, which is what lets all three engines share it.
+//! heartbeat.
+//!
+//! Runs outlive their process in the [`Ledger`]: a directory of JSON
+//! [`RunRecord`]s plus an append-only `index.jsonl`. The ledger keeps no
+//! index in memory; every read parses `index.jsonl` afresh, so it sees
+//! every append made so far by any handle or process.
+//!
+//! The crate is dependency-free and sits below `tpa-tso` in the
+//! workspace graph, which is what lets all three engines share it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +45,6 @@ pub mod perfetto;
 pub mod probe;
 pub mod recorder;
 pub mod schema;
-pub mod store;
 
 pub use ledger::{EnvFingerprint, IndexEntry, IndexHealth, Ledger, RunRecord, RUN_RECORD_VERSION};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
@@ -47,4 +53,3 @@ pub use probe::{
     SimKind, SimStep, WorkerSnapshot,
 };
 pub use recorder::Recorder;
-pub use store::BptreeMap;

@@ -33,23 +33,21 @@
 #      `tpa_runs diff` gated on zero regressions; a deliberate
 #      `--threads` change surfacing as an env-fingerprint difference
 #      (and only that); record/report/snapshot schema validation
-#  11. the transactional run store: the pinned snapshot-isolation test
-#      (4 reader threads racing a committing write transaction) and the
-#      N-writer x M-reader stress over thousands of keys
-#  12. concurrent ledger: the litmus corpus written into a ledger while
+#  11. concurrent ledger: the litmus corpus written into a ledger while
 #      a background `tpa_runs list` loop reads it the whole time — zero
 #      read errors, zero torn/duplicate warnings, and a zero-regression
 #      `tpa_runs diff` across the two racing-writer passes
-#  13. checkpoint/resume durability: a lock search deadline-interrupted
+#  12. checkpoint/resume durability: a lock search deadline-interrupted
 #      at 0 ms writes a checkpoint (schema-checked by `obs_validate
 #      --checkpoint`), `check_file --resume` finishes it, and
 #      `tpa_runs diff` pairs the resumed run against the uninterrupted
 #      control — bit-equal verdict and state counts, with the
 #      interrupted run skipped as superseded
-#  14. the determinism oracles, repeated: the thread-count, VM,
-#      interrupt/resume and metrics differential suites each pass 20
-#      runs back to back (an intermittent failure is a bug, not noise)
-#  15. formatting check
+#  13. the determinism oracles, repeated: the thread-count, VM,
+#      interrupt/resume, metrics and swarm determinism suites and the
+#      ledger concurrency properties each pass 20 runs back to back (an
+#      intermittent failure is a bug, not noise)
+#  14. formatting check
 #
 # Every stage runs under `timeout` (default 900 s per stage, override
 # with SMOKE_STAGE_TIMEOUT) so a wedged stage fails the smoke run
@@ -67,44 +65,44 @@ trap 'rm -rf "$SCRATCH"' EXIT
 STAGE_TIMEOUT="${SMOKE_STAGE_TIMEOUT:-900}"
 t() { timeout --foreground "$STAGE_TIMEOUT" "$@"; }
 
-echo "== [1/15] tier-1: build + tests =="
+echo "== [1/14] tier-1: build + tests =="
 t cargo build --offline --release --workspace
 t cargo test --offline -q --workspace
 
-echo "== [2/15] clippy (-D warnings) =="
+echo "== [2/14] clippy (-D warnings) =="
 t cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== [3/15] experiment harness (quick) =="
+echo "== [3/14] experiment harness (quick) =="
 TPA_BENCH_JSON="$SCRATCH/bench_report_all.json" \
     t cargo run --offline --release -p tpa-bench --bin report_all -- --quick
 
-echo "== [4/15] parallel explorer smoke (quick, 4 threads, timed) =="
+echo "== [4/14] parallel explorer smoke (quick, 4 threads, timed) =="
 time TPA_BENCH_JSON="$SCRATCH/bench_c1.json" \
     t cargo run --offline --release -p tpa-bench --bin exp_c1_explorer -- --quick --threads 4
 
-echo "== [5/15] symmetry reduction (n = 3 exhaustive) + multi-threaded swarm =="
+echo "== [5/14] symmetry reduction (n = 3 exhaustive) + multi-threaded swarm =="
 time t cargo test --offline --release -q \
     --test lock_correctness exhaustive_exclusion_every_lock_n3_with_symmetry
 time t cargo test --offline --release -q -p tpa-check \
     --test swarm_resilience swarm_witness_is_deterministic_across_thread_counts
 
-echo "== [6/15] bytecode VM: differential oracle + lockstep properties (timed) =="
+echo "== [6/14] bytecode VM: differential oracle + lockstep properties (timed) =="
 time t cargo test --offline --release -q -p tpa-check --test vm_differential
 time t cargo test --offline --release -q --test vm_props
 
-echo "== [7/15] scenario DSL corpus (check_file over scenarios/, timed) =="
+echo "== [7/14] scenario DSL corpus (check_file over scenarios/, timed) =="
 time t cargo run --offline --release -p tpa-check --bin check_file -- \
     scenarios/litmus/*.tpa scenarios/locks/*.tpa scenarios/crash/*.tpa
 time t cargo test --offline --release -q --test corpus
 t cargo test --offline --release -q --test dsl_diagnostics --test dsl_props
 
-echo "== [8/15] crash-fault model (quick, negative control + telemetry) =="
+echo "== [8/14] crash-fault model (quick, negative control + telemetry) =="
 TPA_OBS_JSONL="$SCRATCH/crash.jsonl" \
     t cargo run --offline --release -p tpa-bench --bin exp_r1_crash -- --quick --threads 4
 test -s "$SCRATCH/crash.jsonl" || { echo "crash-model run log missing"; exit 1; }
 t cargo run --offline --release -p tpa-bench --bin obs_validate -- "$SCRATCH/crash.jsonl"
 
-echo "== [9/15] telemetry: JSONL + Perfetto export, schema-validated =="
+echo "== [9/14] telemetry: JSONL + Perfetto export, schema-validated =="
 TPA_BENCH_JSON="$SCRATCH/bench_obs.json" \
 TPA_OBS_JSONL="$SCRATCH/run.jsonl" \
 TPA_OBS_TRACE="$SCRATCH/trace.json" \
@@ -114,7 +112,7 @@ test -s "$SCRATCH/trace.json" || { echo "telemetry trace missing"; exit 1; }
 t cargo run --offline --release -p tpa-bench --bin obs_validate -- \
     "$SCRATCH/run.jsonl" "$SCRATCH/trace.json"
 
-echo "== [10/15] metrics registry + run ledger (corpus gate, diff, env fingerprint) =="
+echo "== [10/14] metrics registry + run ledger (corpus gate, diff, env fingerprint) =="
 LEDGER="$SCRATCH/ledger"
 # The whole corpus against the committed baseline: verdict flips,
 # clause-count changes and unique-state drift on complete passes fail
@@ -152,13 +150,7 @@ FIRST_RECORD="${RUN_RECORDS[0]}"
 t cargo run --offline --release -p tpa-bench --bin obs_validate -- --record "$FIRST_RECORD"
 t cargo run --offline --release -p tpa-bench --bin obs_validate -- --metrics "$SCRATCH/metrics.json"
 
-echo "== [11/15] run store: snapshot isolation + writer/reader stress =="
-# The transactional B+tree behind the ledger: the pinned
-# snapshot-isolation test (4 readers racing a committing writer) and the
-# N-writer x M-reader stress over thousands of keys.
-time t cargo test --offline --release -q --test store_props
-
-echo "== [12/15] concurrent ledger: corpus writes racing a tpa_runs list loop =="
+echo "== [11/14] concurrent ledger: corpus writes racing a tpa_runs list loop =="
 CLEDGER="$SCRATCH/ledger-concurrent"
 TPA_RUNS=target/release/tpa_runs
 # First pass seeds the ledger so the post-race diff has pairs to judge.
@@ -184,7 +176,7 @@ test ! -f "$SCRATCH/reader.failed" \
 test ! -s "$READER_ERR" \
     || { echo "concurrent tpa_runs list wrote to stderr:"; cat "$READER_ERR"; exit 1; }
 test -s "$READER_OUT" || { echo "reader loop never completed a read"; exit 1; }
-# Snapshot reads never surface damage from a mid-flight append.
+# A read never reports an append still in flight as damage.
 if grep -q '^warning' "$READER_OUT"; then
     echo "concurrent reader saw torn/duplicate index lines:"
     grep '^warning' "$READER_OUT" | sort -u
@@ -197,7 +189,7 @@ tail -1 "$SCRATCH/diff-concurrent.txt"
 grep -q '^0 regressions' "$SCRATCH/diff-concurrent.txt" \
     || { echo "concurrent ledger diff found regressions"; cat "$SCRATCH/diff-concurrent.txt"; exit 1; }
 
-echo "== [13/15] checkpoint/resume durability (interrupt, resume, diff against control) =="
+echo "== [12/14] checkpoint/resume durability (interrupt, resume, diff against control) =="
 CKPT="$SCRATCH/ckpt"
 CKPT_LEDGER="$SCRATCH/ledger-ckpt"
 # Uninterrupted control, ledgered.
@@ -231,20 +223,25 @@ grep -q 'skipped 1 interrupted run(s) superseded by a resume' "$SCRATCH/diff-ckp
     || { echo "interrupted run not skipped in diff pairing"; exit 1; }
 grep -q '^0 regressions' "$SCRATCH/diff-ckpt.txt" || { echo "resume diverged from control"; exit 1; }
 
-echo "== [14/15] determinism oracles, 20 runs back to back =="
+echo "== [13/14] determinism oracles, 20 runs back to back =="
 # Verdict, witness and state counts must not depend on thread count,
-# execution backend, interrupt/resume or an attached registry — on every
-# run, not most. Any failing run fails the stage.
+# execution backend, interrupt/resume or an attached registry, and a
+# seeded swarm's witness must not depend on thread count, and appends
+# racing reads must leave the ledger clean and complete — on every run,
+# not most. Any failing run fails the stage.
 for run in $(seq 1 20); do
-    t cargo test --offline --release -q -p tpa-check \
-        --test differential --test vm_differential \
-        --test checkpoint_resume --test metrics_differential \
-        > "$SCRATCH/determinism.log" 2>&1 \
+    {
+        t cargo test --offline --release -q -p tpa-check \
+            --test differential --test vm_differential \
+            --test checkpoint_resume --test metrics_differential \
+            --test swarm_resilience \
+            && t cargo test --offline --release -q --test ledger_props
+    } > "$SCRATCH/determinism.log" 2>&1 \
         || { cat "$SCRATCH/determinism.log"; echo "determinism oracles failed on run $run of 20"; exit 1; }
 done
 echo "determinism oracles: 20 of 20 runs passed"
 
-echo "== [15/15] cargo fmt --check =="
+echo "== [14/14] cargo fmt --check =="
 t cargo fmt --all -- --check
 
 echo "smoke: all green"
