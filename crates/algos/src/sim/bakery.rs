@@ -10,10 +10,7 @@
 //! from the adaptive locks: constant fences are possible exactly because
 //! the algorithm refuses to adapt.
 
-use tpa_tso::{
-    Asm, Bytecode, Cmp, Op, Operand, Outcome, ProcId, Program, SymMode, System, VRef, Value, VarId,
-    VarSpec, VmSystem, NREGS,
-};
+use tpa_tso::{Op, Outcome, ProcId, Program, System, Value, VarId, VarSpec, VmSystem};
 
 /// The bakery lock system.
 #[derive(Clone, Debug)]
@@ -143,152 +140,16 @@ impl System for BakeryLock {
     }
 
     fn compile_vm(&self) -> Option<VmSystem> {
-        let code = (0..self.n).map(|me| self.compile(me as u32)).collect();
-        Some(VmSystem::new(
-            self.name(),
-            self.vars(),
-            code,
-            self.symmetric(),
-        ))
-    }
-}
-
-impl BakeryLock {
-    /// Compiles process `me`. Register layout mirrors [`BakeryProgram`]
-    /// field-for-field: `r0` is `passages_left`, `r1` `max` (stale across
-    /// passages, like the native field), `r2` `my_number` (likewise
-    /// stale), `r3` the scan/wait index `j` — live only while the counter
-    /// rests in a scan or wait loop, re-zeroed on exactly the edges where
-    /// the native `j` payload dies — and `r4` a read scratch consumed and
-    /// re-zeroed within each apply edge (the native program never stores
-    /// a scanned value). Bakery breaks ties by pid, so the bytecode is
-    /// [`SymMode::Asymmetric`], exactly like the native program's default
-    /// `state_hash_permuted`.
-    fn compile(&self, me: u32) -> Bytecode {
-        const R_LEFT: u8 = 0;
-        const R_MAX: u8 = 1;
-        const R_NUM: u8 = 2;
-        const R_J: u8 = 3;
-        const R_V: u8 = 4;
-        let n = self.n as u32;
-        let choosing_me = VRef::Direct(me);
-        let number_me = VRef::Direct(n + me);
-        let choosing_j = VRef::Indexed {
-            base: 0,
-            idx: R_J,
-            off: 0,
-        };
-        let number_j = VRef::Indexed {
-            base: n,
-            idx: R_J,
-            off: 0,
-        };
-        let mut a = Asm::new();
-        let enter = a.here();
-        a.enter();
-        a.li(R_MAX, 0);
-        a.write(choosing_me, Operand::Imm(1));
-        a.fence();
-        // Doorway scan: max := max over number[0..n].
-        let keep = a.label();
-        let scan = a.here();
-        a.read(number_j, R_V);
-        a.br(Operand::Reg(R_MAX), Cmp::Ge, Operand::Reg(R_V), keep);
-        a.mov(R_MAX, R_V);
-        a.bind(keep);
-        a.li(R_V, 0);
-        a.add(R_J, 1);
-        a.br(
-            Operand::Reg(R_J),
-            Cmp::Lt,
-            Operand::Imm(self.n as Value),
-            scan,
-        );
-        a.mov(R_NUM, R_MAX);
-        a.add(R_NUM, 1);
-        a.li(R_J, 0);
-        a.write(number_me, Operand::RegOff(R_MAX, 1));
-        if self.pso_hardened {
-            a.fence();
-        }
-        a.write(choosing_me, Operand::Imm(0));
-        if self.doorway_fenced {
-            a.fence();
-        }
-        // Wait phase: for each competitor j (id order, skipping me), wait
-        // for choosing[j] == 0, then for number[j] to be served.
-        let isme = a.label();
-        let check = a.label();
-        let donewait = a.label();
-        a.jmp(check);
-        a.bind(isme);
-        a.add(R_J, 1);
-        a.bind(check);
-        a.br(Operand::Reg(R_J), Cmp::Eq, Operand::Imm(me as Value), isme);
-        a.br(
-            Operand::Reg(R_J),
-            Cmp::Ge,
-            Operand::Imm(self.n as Value),
-            donewait,
-        );
-        let waitn = a.label();
-        let waitc = a.here();
-        a.read_br(choosing_j, Cmp::Eq, Operand::Imm(0), waitn, waitc);
-        a.bind(waitn);
-        a.read(number_j, R_V);
-        // served = nj == 0 || nj > my_number || (nj == my_number && j > me)
-        let served = a.label();
-        let notserved = a.label();
-        a.br(Operand::Reg(R_V), Cmp::Eq, Operand::Imm(0), served);
-        a.br(Operand::Reg(R_V), Cmp::Gt, Operand::Reg(R_NUM), served);
-        a.br(Operand::Reg(R_V), Cmp::Ne, Operand::Reg(R_NUM), notserved);
-        a.br(
-            Operand::Imm(me as Value),
-            Cmp::Lt,
-            Operand::Reg(R_J),
-            served,
-        );
-        a.bind(notserved);
-        a.li(R_V, 0);
-        a.jmp(waitn);
-        a.bind(served);
-        a.li(R_V, 0);
-        a.add(R_J, 1);
-        a.jmp(check);
-        a.bind(donewait);
-        a.li(R_J, 0);
-        a.cs();
-        a.write(number_me, Operand::Imm(0));
-        a.fence();
-        a.exit();
-        a.add(R_LEFT, -1);
-        a.br(Operand::Reg(R_LEFT), Cmp::Ne, Operand::Imm(0), enter);
-        let halt = a.here();
-        a.halt();
-        let recover_pc = if self.recoverable {
-            // Mirrors `BakeryProgram::recover`: registers are wiped and
-            // the interrupted passage restarts at the doorway (or the
-            // program stays done if none remained).
-            let rec = a.here();
-            a.li(R_MAX, 0);
-            a.li(R_NUM, 0);
-            a.li(R_J, 0);
-            a.li(R_V, 0);
-            a.br(Operand::Reg(R_LEFT), Cmp::Ne, Operand::Imm(0), enter);
-            a.jmp(halt);
-            Some(a.pc_of(rec))
-        } else {
-            None
-        };
-        let mut init_regs = [0; NREGS];
-        init_regs[R_LEFT as usize] = self.passages as Value;
-        Bytecode {
-            code: a.finish(),
-            init_regs,
-            recover_pc,
-            sym: SymMode::Asymmetric,
-            me,
-        }
+        super::lower_port(
+            self,
+            include_str!("../../../../scenarios/locks/bakery.tpa"),
+            &[
+                ("passages", self.passages as u64),
+                ("pso", self.pso_hardened as u64),
+                ("doorway", self.doorway_fenced as u64),
+                ("recoverable", self.recoverable as u64),
+            ],
+        )
     }
 }
 

@@ -13,8 +13,7 @@
 //! contention. Deadlock-free but not starvation-free.
 
 use tpa_tso::{
-    Asm, Bytecode, Cmp, Op, Operand, Outcome, Permutation, PidEncoding, ProcId, Program, RegKind,
-    SymMode, System, VRef, Value, VarId, VarSpec, VmSystem, NREGS,
+    Op, Outcome, Permutation, PidEncoding, ProcId, Program, System, Value, VarId, VarSpec, VmSystem,
 };
 
 /// Dijkstra's lock system.
@@ -74,125 +73,11 @@ impl System for DijkstraLock {
     }
 
     fn compile_vm(&self) -> Option<VmSystem> {
-        let code = (0..self.n).map(|me| self.compile(me as u32)).collect();
-        Some(VmSystem::new(
-            self.name(),
-            self.vars(),
-            code,
-            self.symmetric(),
-        ))
-    }
-}
-
-impl DijkstraLock {
-    /// Compiles process `me`. Register layout mirrors
-    /// [`DijkstraProgram`] payload-for-payload: `r0` is `passages_left`,
-    /// `r1` the watched turn holder (a pid — [`RegKind::ZeroIdx`] at its
-    /// single rest point, zero everywhere else, exactly like the native
-    /// `ReadHolderFlag` payload), `r2` the scan position
-    /// ([`RegKind::ScanSkipSelf`] at the scan rest point), `r3` a read
-    /// scratch consumed and re-zeroed within each apply edge.
-    fn compile(&self, me: u32) -> Bytecode {
-        const R_LEFT: u8 = 0;
-        const R_HOLDER: u8 = 1;
-        const R_J: u8 = 2;
-        const R_V: u8 = 3;
-        let n = self.n as Value;
-        let j0: Value = if me == 0 { 1 } else { 0 };
-        let flag_me = VRef::Direct(FLAG_BASE + me);
-        let flag_holder = VRef::Indexed {
-            base: FLAG_BASE,
-            idx: R_HOLDER,
-            off: 0,
-        };
-        let flag_j = VRef::Indexed {
-            base: FLAG_BASE,
-            idx: R_J,
-            off: 0,
-        };
-        let mut a = Asm::new();
-        let enter = a.here();
-        a.enter();
-        let ww = a.here();
-        a.write(flag_me, Operand::Imm(1));
-        a.fence();
-        let mine = a.label();
-        let rt = a.here();
-        a.read(VRef::Direct(TURN.0), R_HOLDER);
-        a.br(
-            Operand::Reg(R_HOLDER),
-            Cmp::Eq,
-            Operand::Imm(me as Value),
-            mine,
-        );
-        let active = a.label();
-        let hold = a.here();
-        a.read(flag_holder, R_V);
-        a.br(Operand::Reg(R_V), Cmp::Ne, Operand::Imm(0), active);
-        a.li(R_HOLDER, 0);
-        a.write(VRef::Direct(TURN.0), Operand::Imm(me as Value));
-        a.fence();
-        a.jmp(rt);
-        a.bind(active);
-        a.li(R_V, 0);
-        a.li(R_HOLDER, 0);
-        a.jmp(rt);
-        a.bind(mine);
-        a.li(R_HOLDER, 0);
-        a.write(flag_me, Operand::Imm(2));
-        a.fence();
-        let mut scan_pc = None;
-        if self.n > 1 {
-            a.li(R_J, j0);
-            let conflict = a.label();
-            let noskip = a.label();
-            let cs = a.label();
-            let scan = a.here();
-            scan_pc = Some(a.pc_of(scan) as usize);
-            a.read(flag_j, R_V);
-            a.br(Operand::Reg(R_V), Cmp::Eq, Operand::Imm(2), conflict);
-            a.li(R_V, 0);
-            a.add(R_J, 1);
-            a.br(
-                Operand::Reg(R_J),
-                Cmp::Ne,
-                Operand::Imm(me as Value),
-                noskip,
-            );
-            a.add(R_J, 1);
-            a.bind(noskip);
-            a.br(Operand::Reg(R_J), Cmp::Lt, Operand::Imm(n), scan);
-            a.li(R_J, 0);
-            a.jmp(cs);
-            a.bind(conflict);
-            a.li(R_V, 0);
-            a.li(R_J, 0);
-            a.jmp(ww);
-            a.bind(cs);
-        }
-        a.cs();
-        a.write(flag_me, Operand::Imm(0));
-        a.fence();
-        a.exit();
-        a.add(R_LEFT, -1);
-        a.br(Operand::Reg(R_LEFT), Cmp::Ne, Operand::Imm(0), enter);
-        a.halt();
-        let hold_pc = a.pc_of(hold) as usize;
-        let code = a.finish();
-        let mut kinds = vec![[RegKind::Plain; NREGS]; code.len()];
-        kinds[hold_pc][R_HOLDER as usize] = RegKind::ZeroIdx;
-        if let Some(pc) = scan_pc {
-            kinds[pc][R_J as usize] = RegKind::ScanSkipSelf;
-        }
-        let mut init_regs = [0; NREGS];
-        init_regs[R_LEFT as usize] = self.passages as Value;
-        Bytecode {
-            code,
-            init_regs,
-            recover_pc: None,
-            sym: SymMode::Kinds(kinds),
-            me,
-        }
+        super::lower_port(
+            self,
+            include_str!("../../../../scenarios/locks/dijkstra.tpa"),
+            &[("passages", self.passages as u64)],
+        )
     }
 }
 

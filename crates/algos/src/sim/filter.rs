@@ -7,8 +7,7 @@
 //! a deliberately expensive read/write baseline for the experiment tables.
 
 use tpa_tso::{
-    Asm, Bytecode, Cmp, Op, Operand, Outcome, Permutation, PidEncoding, ProcId, Program, RegKind,
-    SymMode, System, VRef, Value, VarId, VarSpec, VmSystem, NREGS,
+    Op, Outcome, Permutation, PidEncoding, ProcId, Program, System, Value, VarId, VarSpec, VmSystem,
 };
 
 /// The filter lock system.
@@ -67,124 +66,11 @@ impl System for FilterLock {
     }
 
     fn compile_vm(&self) -> Option<VmSystem> {
-        let code = (0..self.n).map(|me| self.compile(me as u32)).collect();
-        Some(VmSystem::new(
-            self.name(),
-            self.vars(),
-            code,
-            self.symmetric(),
-        ))
-    }
-}
-
-impl FilterLock {
-    /// Compiles process `me`. Register layout mirrors [`FilterProgram`]
-    /// payload-for-payload: `r0` is `passages_left`, `r1` the level `l`
-    /// (plain data, live through the filter loop, re-zeroed on the edge
-    /// into the critical section where the native payload dies), `r2` the
-    /// scan position `k` (a pid index — [`RegKind::ScanSkipSelf`] at the
-    /// scan rest point, zero everywhere else), `r3` a read scratch
-    /// consumed and re-zeroed within each apply edge. The layout is
-    /// identical across processes; only the baked-in `me` and the scan
-    /// start constant differ.
-    fn compile(&self, me: u32) -> Bytecode {
-        const R_LEFT: u8 = 0;
-        const R_L: u8 = 1;
-        const R_K: u8 = 2;
-        const R_V: u8 = 3;
-        let n = self.n as Value;
-        // First scan index skipping me.
-        let k0: Value = if me == 0 { 1 } else { 0 };
-        let level_me = VRef::Direct(me);
-        let level_k = VRef::Indexed {
-            base: 0,
-            idx: R_K,
-            off: 0,
-        };
-        // victim[l] lives at n + l - 1.
-        let victim_l = VRef::Indexed {
-            base: self.n as u32,
-            idx: R_L,
-            off: -1,
-        };
-        let mut a = Asm::new();
-        let enter = a.here();
-        a.enter();
-        let mut scan_pc = None;
-        let cs = a.label();
-        if self.n == 1 {
-            // Native n == 1 skips the filter loop entirely.
-            a.jmp(cs);
-        } else {
-            a.li(R_L, 1);
-            let wl = a.here();
-            a.write(level_me, Operand::Reg(R_L));
-            a.write(victim_l, Operand::Imm(me as Value));
-            a.fence();
-            a.li(R_K, k0);
-            let conflict = a.label();
-            let noskip = a.label();
-            let afterlevel = a.label();
-            let scan = a.here();
-            scan_pc = Some(a.pc_of(scan) as usize);
-            a.read(level_k, R_V);
-            a.br(Operand::Reg(R_V), Cmp::Ge, Operand::Reg(R_L), conflict);
-            a.li(R_V, 0);
-            a.add(R_K, 1);
-            a.br(
-                Operand::Reg(R_K),
-                Cmp::Ne,
-                Operand::Imm(me as Value),
-                noskip,
-            );
-            a.add(R_K, 1);
-            a.bind(noskip);
-            a.br(Operand::Reg(R_K), Cmp::Lt, Operand::Imm(n), scan);
-            a.li(R_K, 0);
-            a.jmp(afterlevel);
-            a.bind(conflict);
-            a.li(R_V, 0);
-            a.li(R_K, 0);
-            let notvictim = a.label();
-            a.read(victim_l, R_V);
-            a.br(
-                Operand::Reg(R_V),
-                Cmp::Ne,
-                Operand::Imm(me as Value),
-                notvictim,
-            );
-            a.li(R_V, 0);
-            a.li(R_K, k0);
-            a.jmp(scan);
-            a.bind(notvictim);
-            a.li(R_V, 0);
-            a.bind(afterlevel);
-            a.add(R_L, 1);
-            a.br(Operand::Reg(R_L), Cmp::Lt, Operand::Imm(n), wl);
-            a.li(R_L, 0);
-        }
-        a.bind(cs);
-        a.cs();
-        a.write(level_me, Operand::Imm(0));
-        a.fence();
-        a.exit();
-        a.add(R_LEFT, -1);
-        a.br(Operand::Reg(R_LEFT), Cmp::Ne, Operand::Imm(0), enter);
-        a.halt();
-        let code = a.finish();
-        let mut kinds = vec![[RegKind::Plain; NREGS]; code.len()];
-        if let Some(pc) = scan_pc {
-            kinds[pc][R_K as usize] = RegKind::ScanSkipSelf;
-        }
-        let mut init_regs = [0; NREGS];
-        init_regs[R_LEFT as usize] = self.passages as Value;
-        Bytecode {
-            code,
-            init_regs,
-            recover_pc: None,
-            sym: SymMode::Kinds(kinds),
-            me,
-        }
+        super::lower_port(
+            self,
+            include_str!("../../../../scenarios/locks/filter.tpa"),
+            &[("passages", self.passages as u64)],
+        )
     }
 }
 

@@ -10,8 +10,7 @@
 //! swap plus a constant.
 
 use tpa_tso::{
-    Asm, Bytecode, Cmp, Op, Operand, Outcome, Permutation, PidEncoding, ProcId, Program, RegKind,
-    SymMode, System, VRef, Value, VarId, VarSpec, VmSystem, DISCARD, NREGS,
+    Op, Outcome, Permutation, PidEncoding, ProcId, Program, System, Value, VarId, VarSpec, VmSystem,
 };
 
 /// The MCS lock system.
@@ -80,120 +79,11 @@ impl System for McsLock {
     }
 
     fn compile_vm(&self) -> Option<VmSystem> {
-        let code = (0..self.n).map(|me| self.compile(me as u32)).collect();
-        Some(VmSystem::new(
-            self.name(),
-            self.vars(),
-            code,
-            self.symmetric(),
-        ))
-    }
-}
-
-impl McsLock {
-    /// Compiles process `me`. Register layout mirrors [`McsProgram`]
-    /// field-for-field: `r0` is `passages_left`, `r1` the predecessor
-    /// link `pred` (a one-based pid, stale across passages like the
-    /// native field and therefore renamed at *every* pc), `r2` the
-    /// `CasTail` expectation (one-based, live only at the CAS rest
-    /// point), `r3` the handoff successor (one-based, live only at the
-    /// handoff write). The code layout is identical for every process —
-    /// only the baked-in constants differ — so equal counters mean equal
-    /// algorithmic locations under renaming, as [`SymMode::Kinds`]
-    /// requires.
-    fn compile(&self, me: u32) -> Bytecode {
-        const R_LEFT: u8 = 0;
-        const R_PRED: u8 = 1;
-        const R_T: u8 = 2;
-        const R_SUCC: u8 = 3;
-        let n = self.n as u32;
-        let me1 = me as Value + 1;
-        let next_me = VRef::Direct(1 + me);
-        let locked_me = VRef::Direct(1 + n + me);
-        // next[pred - 1] and locked[succ - 1]: one-based links into
-        // zero-based arrays.
-        let next_pred = VRef::Indexed {
-            base: 1,
-            idx: R_PRED,
-            off: -1,
-        };
-        let locked_succ = VRef::Indexed {
-            base: 1 + n as i32 as u32,
-            idx: R_SUCC,
-            off: -1,
-        };
-        let mut a = Asm::new();
-        let enter = a.here();
-        a.enter();
-        a.write(next_me, Operand::Imm(0));
-        a.write(locked_me, Operand::Imm(1));
-        a.fence();
-        a.read(VRef::Direct(TAIL.0), R_T);
-        let won = a.label();
-        let cs = a.label();
-        let cas = a.here();
-        a.cas(
-            VRef::Direct(TAIL.0),
-            Operand::Reg(R_T),
-            Operand::Imm(me1),
-            R_PRED,
-            R_T,
-            won,
-            cas,
-        );
-        a.bind(won);
-        a.li(R_T, 0);
-        a.br(Operand::Reg(R_PRED), Cmp::Eq, Operand::Imm(0), cs);
-        a.write(next_pred, Operand::Imm(me1));
-        a.fence();
-        let spin = a.here();
-        a.read_br(locked_me, Cmp::Eq, Operand::Imm(0), cs, spin);
-        a.bind(cs);
-        a.cs();
-        let handoff = a.label();
-        a.read(next_me, R_SUCC);
-        a.br(Operand::Reg(R_SUCC), Cmp::Ne, Operand::Imm(0), handoff);
-        let exit = a.label();
-        let waitsucc = a.label();
-        a.cas(
-            VRef::Direct(TAIL.0),
-            Operand::Imm(me1),
-            Operand::Imm(0),
-            DISCARD,
-            DISCARD,
-            exit,
-            waitsucc,
-        );
-        a.bind(waitsucc);
-        a.read(next_me, R_SUCC);
-        a.br(Operand::Reg(R_SUCC), Cmp::Eq, Operand::Imm(0), waitsucc);
-        a.bind(handoff);
-        a.write(locked_succ, Operand::Imm(0));
-        a.li(R_SUCC, 0);
-        a.fence();
-        a.bind(exit);
-        a.exit();
-        a.add(R_LEFT, -1);
-        a.br(Operand::Reg(R_LEFT), Cmp::Ne, Operand::Imm(0), enter);
-        a.halt();
-        let cas_pc = a.pc_of(cas) as usize;
-        let handoff_pc = a.pc_of(handoff) as usize;
-        let code = a.finish();
-        let mut kinds = vec![[RegKind::Plain; NREGS]; code.len()];
-        for row in &mut kinds {
-            row[R_PRED as usize] = RegKind::OneBased;
-        }
-        kinds[cas_pc][R_T as usize] = RegKind::OneBased;
-        kinds[handoff_pc][R_SUCC as usize] = RegKind::OneBased;
-        let mut init_regs = [0; NREGS];
-        init_regs[R_LEFT as usize] = self.passages as Value;
-        Bytecode {
-            code,
-            init_regs,
-            recover_pc: None,
-            sym: SymMode::Kinds(kinds),
-            me,
-        }
+        super::lower_port(
+            self,
+            include_str!("../../../../scenarios/locks/mcs.tpa"),
+            &[("passages", self.passages as u64)],
+        )
     }
 }
 

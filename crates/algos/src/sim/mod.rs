@@ -11,10 +11,26 @@ pub mod ticketq;
 pub mod tournament;
 pub mod ttas;
 
-use tpa_tso::System;
+use tpa_tso::{Bytecode, ProcId, System, VmSystem};
 
 /// A boxed lock system plus its configuration, as handed to experiments.
 pub type LockSystem = Box<dyn System>;
+
+/// The bytecode of `sys`, lowered from its `.tpa` port under
+/// `scenarios/locks/` with `n = sys.n()` and the given constants. Only
+/// the per-process bytecode comes from the port; name, variable layout
+/// and symmetry are the native system's, as [`VmSystem::new`] requires.
+/// `None` if the port does not compile for this instance (the DSL's
+/// limit is 64 processes), which tells the checker to run natively.
+fn lower_port(sys: &dyn System, src: &str, consts: &[(&str, u64)]) -> Option<VmSystem> {
+    let mut all = vec![("n", sys.n() as u64)];
+    all.extend_from_slice(consts);
+    let port = tpa_dsl::compile_with(src, &all).ok()?;
+    let code = (0..sys.n())
+        .map(|p| Bytecode::clone(port.system.bytecode(ProcId(p as u32))))
+        .collect();
+    Some(VmSystem::new(sys.name(), sys.vars(), code, sys.symmetric()))
+}
 
 /// Instantiates every simulated lock for `n` processes, each performing
 /// `passages` passages. The list order is stable (used by experiment

@@ -8,10 +8,7 @@
 //! proportional to the number of back-offs — contention-sensitive fences
 //! on yet another axis of the portfolio.
 
-use tpa_tso::{
-    Asm, Bytecode, Cmp, Op, Operand, Outcome, ProcId, Program, SymMode, System, VRef, Value, VarId,
-    VarSpec, VmSystem, NREGS,
-};
+use tpa_tso::{Op, Outcome, ProcId, Program, System, VarId, VarSpec, VmSystem};
 
 /// The one-bit lock system.
 #[derive(Clone, Debug)]
@@ -56,94 +53,11 @@ impl System for OneBitLock {
     }
 
     fn compile_vm(&self) -> Option<VmSystem> {
-        let code = (0..self.n).map(|me| self.compile(me)).collect();
-        Some(VmSystem::new(
-            self.name(),
-            self.vars(),
-            code,
-            self.symmetric(),
-        ))
-    }
-}
-
-impl OneBitLock {
-    /// Compiles process `me`. `r0` is `passages_left`; `r1` carries the
-    /// scan index / blocker — the native `ScanLow`/`Lower`/`WaitLow`/
-    /// `WaitHigh` payloads, which share one register because the blocker
-    /// *is* the scan index where the low scan stopped. `r1` is re-zeroed
-    /// on exactly the edges where the native payload dies (restart after
-    /// a back-off, entry to the critical section). One-bit breaks ties by
-    /// pid order, so the bytecode is [`SymMode::Asymmetric`], like the
-    /// native program's default `state_hash_permuted`.
-    fn compile(&self, me: usize) -> Bytecode {
-        const R_LEFT: u8 = 0;
-        const R_J: u8 = 1;
-        let flag_me = VRef::Direct(me as u32);
-        let flag_j = VRef::Indexed {
-            base: 0,
-            idx: R_J,
-            off: 0,
-        };
-        let mut a = Asm::new();
-        let enter = a.here();
-        a.enter();
-        let raise = a.here();
-        a.write(flag_me, Operand::Imm(1));
-        a.fence();
-        if me > 0 {
-            // Scan smaller ids; any raised flag is a blocker.
-            let conflict = a.label();
-            let adv = a.label();
-            let after_low = a.label();
-            let scan = a.here();
-            a.read_br(flag_j, Cmp::Ne, Operand::Imm(0), conflict, adv);
-            a.bind(adv);
-            a.add(R_J, 1);
-            a.br(Operand::Reg(R_J), Cmp::Lt, Operand::Imm(me as Value), scan);
-            a.jmp(after_low);
-            a.bind(conflict);
-            a.write(flag_me, Operand::Imm(0));
-            a.fence();
-            let restart = a.label();
-            let waitlow = a.here();
-            a.read_br(flag_j, Cmp::Eq, Operand::Imm(0), restart, waitlow);
-            a.bind(restart);
-            a.li(R_J, 0);
-            a.jmp(raise);
-            a.bind(after_low);
-        }
-        if me + 1 < self.n {
-            // Wait for every larger id to lower its flag.
-            a.li(R_J, me as Value + 1);
-            let whadv = a.label();
-            let waithigh = a.here();
-            a.read_br(flag_j, Cmp::Eq, Operand::Imm(0), whadv, waithigh);
-            a.bind(whadv);
-            a.add(R_J, 1);
-            a.br(
-                Operand::Reg(R_J),
-                Cmp::Lt,
-                Operand::Imm(self.n as Value),
-                waithigh,
-            );
-        }
-        a.li(R_J, 0);
-        a.cs();
-        a.write(flag_me, Operand::Imm(0));
-        a.fence();
-        a.exit();
-        a.add(R_LEFT, -1);
-        a.br(Operand::Reg(R_LEFT), Cmp::Ne, Operand::Imm(0), enter);
-        a.halt();
-        let mut init_regs = [0; NREGS];
-        init_regs[R_LEFT as usize] = self.passages as Value;
-        Bytecode {
-            code: a.finish(),
-            init_regs,
-            recover_pc: None,
-            sym: SymMode::Asymmetric,
-            me: me as u32,
-        }
+        super::lower_port(
+            self,
+            include_str!("../../../../scenarios/locks/onebit.tpa"),
+            &[("passages", self.passages as u64)],
+        )
     }
 }
 

@@ -15,8 +15,7 @@
 //! paper's trade-off says any adaptive algorithm must exhibit.
 
 use tpa_tso::{
-    Asm, Bytecode, Cmp, Op, Operand, Outcome, Permutation, PidEncoding, ProcId, Program, RegKind,
-    SymMode, System, VRef, Value, VarId, VarSpec, VmSystem, NREGS,
+    Op, Outcome, Permutation, PidEncoding, ProcId, Program, System, Value, VarId, VarSpec, VmSystem,
 };
 
 /// The fast-path (splitter) lock system.
@@ -81,107 +80,11 @@ impl System for SplitterLock {
     }
 
     fn compile_vm(&self) -> Option<VmSystem> {
-        let code = (0..self.n).map(|me| self.compile(me as u32)).collect();
-        Some(VmSystem::new(
-            self.name(),
-            self.vars(),
-            code,
-            self.symmetric(),
-        ))
-    }
-}
-
-impl SplitterLock {
-    /// Compiles process `me`. Every splitter read compares against a
-    /// constant (`0` or `me+1`) and discards the value, so the whole
-    /// control graph lowers to [`BInstr::ReadBr`] test-and-discard
-    /// instructions; the only live payload is the slow-path b-scan index
-    /// in `r1` — the native `WaitB { j }` — which scans *all* pids in
-    /// order ([`RegKind::ScanAll`] at that single rest point) and dies on
-    /// the edge into `ReadY2`. `r0` is `passages_left`. Four distinct
-    /// y-read rest points keep the pc ↔ native-state bijection exact
-    /// (`ReadY`, `AwaitYZero`, `ReadY2`, `AwaitYZeroRetry` each get their
-    /// own `ReadBr`).
-    fn compile(&self, me: u32) -> Bytecode {
-        const R_LEFT: u8 = 0;
-        const R_J: u8 = 1;
-        let me1 = me as Value + 1;
-        let n = self.n as Value;
-        let b_me = VRef::Direct(B_BASE + me);
-        let b_j = VRef::Indexed {
-            base: B_BASE,
-            idx: R_J,
-            off: 0,
-        };
-        let y = VRef::Direct(Y.0);
-        let x = VRef::Direct(X.0);
-        let mut a = Asm::new();
-        let enter = a.here();
-        a.enter();
-        // Announce: b[me] := 1, x := me+1, fence.
-        let wb1 = a.here();
-        a.write(b_me, Operand::Imm(1));
-        a.write(x, Operand::Imm(me1));
-        a.fence();
-        // Splitter: y clear → claim it, else back off and await y == 0.
-        let writey = a.label();
-        let backoff = a.label();
-        a.read_br(y, Cmp::Eq, Operand::Imm(0), writey, backoff);
-        a.bind(backoff);
-        a.write(b_me, Operand::Imm(0));
-        a.fence();
-        let restart = a.label();
-        let awaity = a.here();
-        a.read_br(y, Cmp::Eq, Operand::Imm(0), restart, awaity);
-        a.bind(restart);
-        a.jmp(wb1);
-        a.bind(writey);
-        a.write(y, Operand::Imm(me1));
-        a.fence();
-        // x unchanged → fast win; else slow path: clear b[me], wait for
-        // every announced process, re-read y.
-        let cs = a.label();
-        let slow = a.label();
-        a.read_br(x, Cmp::Eq, Operand::Imm(me1), cs, slow);
-        a.bind(slow);
-        a.write(b_me, Operand::Imm(0));
-        a.fence();
-        let badv = a.label();
-        let waitb = a.here();
-        a.read_br(b_j, Cmp::Eq, Operand::Imm(0), badv, waitb);
-        a.bind(badv);
-        a.add(R_J, 1);
-        a.br(Operand::Reg(R_J), Cmp::Lt, Operand::Imm(n), waitb);
-        a.li(R_J, 0);
-        let retry = a.label();
-        a.read_br(y, Cmp::Eq, Operand::Imm(me1), cs, retry);
-        let restart2 = a.label();
-        a.bind(retry);
-        a.read_br(y, Cmp::Eq, Operand::Imm(0), restart2, retry);
-        a.bind(restart2);
-        a.jmp(wb1);
-        a.bind(cs);
-        a.cs();
-        a.write(y, Operand::Imm(0));
-        a.write(b_me, Operand::Imm(0));
-        a.fence();
-        a.exit();
-        a.add(R_LEFT, -1);
-        a.br(Operand::Reg(R_LEFT), Cmp::Ne, Operand::Imm(0), enter);
-        a.halt();
-        let waitb_pc = a.pc_of(waitb) as usize;
-        let code = a.finish();
-        let mut kinds = vec![[RegKind::Plain; NREGS]; code.len()];
-        kinds[waitb_pc][R_J as usize] = RegKind::ScanAll;
-        let mut init_regs = [0; NREGS];
-        init_regs[R_LEFT as usize] = self.passages as Value;
-        Bytecode {
-            code,
-            init_regs,
-            recover_pc: None,
-            sym: SymMode::Kinds(kinds),
-            me,
-        }
+        super::lower_port(
+            self,
+            include_str!("../../../../scenarios/locks/splitter.tpa"),
+            &[("passages", self.passages as u64)],
+        )
     }
 }
 

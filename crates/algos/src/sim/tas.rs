@@ -5,10 +5,7 @@
 //! fence complexity per passage equals the number of acquisition attempts
 //! — Θ(k) under contention k. RMR complexity is likewise unbounded in k.
 
-use tpa_tso::{
-    Asm, Bytecode, Cmp, Op, Operand, Outcome, Permutation, ProcId, Program, SymMode, System, VRef,
-    Value, VarId, VarSpec, VmSystem, DISCARD, NREGS,
-};
+use tpa_tso::{Op, Outcome, Permutation, ProcId, Program, System, VarId, VarSpec, VmSystem};
 
 /// The test-and-set lock system.
 #[derive(Clone, Debug)]
@@ -56,51 +53,11 @@ impl System for TasLock {
     }
 
     fn compile_vm(&self) -> Option<VmSystem> {
-        let code = (0..self.n).map(|_| compile(self.passages)).collect();
-        Some(VmSystem::new(
-            self.name(),
-            self.vars(),
-            code,
-            self.symmetric(),
-        ))
-    }
-}
-
-/// Compiles one process. Register 0 mirrors `passages_left`; every
-/// native `State` variant maps to a distinct rest pc, so compiled rest
-/// states are in bijection with [`TasProgram`] states.
-fn compile(passages: usize) -> Bytecode {
-    const R_LEFT: u8 = 0;
-    let mut a = Asm::new();
-    let enter = a.here();
-    a.enter();
-    let cs = a.label();
-    let trycas = a.here();
-    a.cas(
-        VRef::Direct(LOCK.0),
-        Operand::Imm(0),
-        Operand::Imm(1),
-        DISCARD,
-        DISCARD,
-        cs,
-        trycas,
-    );
-    a.bind(cs);
-    a.cs();
-    a.write(VRef::Direct(LOCK.0), Operand::Imm(0));
-    a.fence();
-    a.exit();
-    a.add(R_LEFT, -1);
-    a.br(Operand::Reg(R_LEFT), Cmp::Ne, Operand::Imm(0), enter);
-    a.halt();
-    let mut init_regs = [0; NREGS];
-    init_regs[R_LEFT as usize] = passages as Value;
-    Bytecode {
-        code: a.finish(),
-        init_regs,
-        recover_pc: None,
-        sym: SymMode::Equivariant,
-        me: 0,
+        super::lower_port(
+            self,
+            include_str!("../../../../scenarios/locks/tas.tpa"),
+            &[("passages", self.passages as u64)],
+        )
     }
 }
 

@@ -10,10 +10,7 @@
 //! (the paper's primitive set has no atomic fetch&increment; only reads,
 //! writes and comparison primitives).
 
-use tpa_tso::{
-    Asm, Bytecode, Cmp, Op, Operand, Outcome, Permutation, ProcId, Program, SymMode, System, VRef,
-    Value, VarId, VarSpec, VmSystem, NREGS,
-};
+use tpa_tso::{Op, Outcome, Permutation, ProcId, Program, System, Value, VarId, VarSpec, VmSystem};
 
 /// The ticket lock system.
 #[derive(Clone, Debug)]
@@ -71,80 +68,11 @@ impl System for TicketLock {
     }
 
     fn compile_vm(&self) -> Option<VmSystem> {
-        let code = (0..self.n).map(|_| compile(self.passages)).collect();
-        Some(VmSystem::new(
-            self.name(),
-            self.vars(),
-            code,
-            self.symmetric(),
-        ))
-    }
-}
-
-/// Compiles one process. Register layout mirrors [`TicketProgram`]
-/// field-for-field: `r0` is `passages_left`, `r1` the ticket (stale
-/// across passages, exactly as the native field), `r2` the `CasTail`
-/// expectation — live only while the counter rests on the CAS, and
-/// re-zeroed on the success edge where the native payload dies.
-fn compile(passages: usize) -> Bytecode {
-    const R_LEFT: u8 = 0;
-    const R_TICKET: u8 = 1;
-    const R_T: u8 = 2;
-    let mut a = Asm::new();
-    let enter = a.here();
-    a.enter();
-    a.read(VRef::Direct(TAIL.0), R_T);
-    let won = a.label();
-    let cas = a.here();
-    // On success the observed value *is* the ticket; on failure it is
-    // the fresh expectation for the retry.
-    a.cas(
-        VRef::Direct(TAIL.0),
-        Operand::Reg(R_T),
-        Operand::RegOff(R_T, 1),
-        R_TICKET,
-        R_T,
-        won,
-        cas,
-    );
-    a.bind(won);
-    a.li(R_T, 0);
-    let cs = a.label();
-    let spin = a.here();
-    a.read_br(
-        VRef::Indexed {
-            base: GRANT_BASE,
-            idx: R_TICKET,
-            off: 0,
-        },
-        Cmp::Eq,
-        Operand::Imm(1),
-        cs,
-        spin,
-    );
-    a.bind(cs);
-    a.cs();
-    a.write(
-        VRef::Indexed {
-            base: GRANT_BASE,
-            idx: R_TICKET,
-            off: 1,
-        },
-        Operand::Imm(1),
-    );
-    a.fence();
-    a.exit();
-    a.add(R_LEFT, -1);
-    a.br(Operand::Reg(R_LEFT), Cmp::Ne, Operand::Imm(0), enter);
-    a.halt();
-    let mut init_regs = [0; NREGS];
-    init_regs[R_LEFT as usize] = passages as Value;
-    Bytecode {
-        code: a.finish(),
-        init_regs,
-        recover_pc: None,
-        sym: SymMode::Equivariant,
-        me: 0,
+        super::lower_port(
+            self,
+            include_str!("../../../../scenarios/locks/ticketq.tpa"),
+            &[("passages", self.passages as u64)],
+        )
     }
 }
 

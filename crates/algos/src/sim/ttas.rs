@@ -5,10 +5,7 @@
 //! with [`crate::sim::tas`], the read spin converts most RMRs into local
 //! cache hits, but each *attempt* is still a CAS and hence a fence.
 
-use tpa_tso::{
-    Asm, Bytecode, Cmp, Op, Operand, Outcome, Permutation, ProcId, Program, SymMode, System, VRef,
-    Value, VarId, VarSpec, VmSystem, DISCARD, NREGS,
-};
+use tpa_tso::{Op, Outcome, Permutation, ProcId, Program, System, VarId, VarSpec, VmSystem};
 
 /// The test-and-test-and-set lock system.
 #[derive(Clone, Debug)]
@@ -55,55 +52,11 @@ impl System for TtasLock {
     }
 
     fn compile_vm(&self) -> Option<VmSystem> {
-        let code = (0..self.n).map(|_| compile(self.passages)).collect();
-        Some(VmSystem::new(
-            self.name(),
-            self.vars(),
-            code,
-            self.symmetric(),
-        ))
-    }
-}
-
-/// Compiles one process. Register 0 mirrors `passages_left`; the spin
-/// read is a test-and-discard [`tpa_tso::BInstr::ReadBr`], so no
-/// register outlives it — exactly the native [`TtasProgram`], whose
-/// `SpinRead` state keeps nothing but the control location.
-fn compile(passages: usize) -> Bytecode {
-    const R_LEFT: u8 = 0;
-    let mut a = Asm::new();
-    let enter = a.here();
-    a.enter();
-    let trycas = a.label();
-    let spin = a.here();
-    a.read_br(VRef::Direct(LOCK.0), Cmp::Eq, Operand::Imm(0), trycas, spin);
-    let cs = a.label();
-    a.bind(trycas);
-    a.cas(
-        VRef::Direct(LOCK.0),
-        Operand::Imm(0),
-        Operand::Imm(1),
-        DISCARD,
-        DISCARD,
-        cs,
-        spin,
-    );
-    a.bind(cs);
-    a.cs();
-    a.write(VRef::Direct(LOCK.0), Operand::Imm(0));
-    a.fence();
-    a.exit();
-    a.add(R_LEFT, -1);
-    a.br(Operand::Reg(R_LEFT), Cmp::Ne, Operand::Imm(0), enter);
-    a.halt();
-    let mut init_regs = [0; NREGS];
-    init_regs[R_LEFT as usize] = passages as Value;
-    Bytecode {
-        code: a.finish(),
-        init_regs,
-        recover_pc: None,
-        sym: SymMode::Equivariant,
-        me: 0,
+        super::lower_port(
+            self,
+            include_str!("../../../../scenarios/locks/ttas.tpa"),
+            &[("passages", self.passages as u64)],
+        )
     }
 }
 

@@ -721,16 +721,19 @@ impl<'a> Checker<'a> {
         // The fingerprint pins the *derived* search identity — which
         // accelerators actually engaged, not just which were asked for —
         // so it must be assembled after VM compilation and symmetry
-        // validation.
-        let fingerprint = self.build_fingerprint(
-            native,
-            system,
-            compiled.as_ref(),
-            group.is_some(),
-            config.max_steps,
-        );
+        // validation. Only checkpoint writes and resumes read it.
+        let fingerprint = (self.checkpoint_dir.is_some() || resume_ckpt.is_some()).then(|| {
+            self.build_fingerprint(
+                native,
+                system,
+                compiled.as_ref(),
+                group.is_some(),
+                config.max_steps,
+            )
+        });
         let seed = resume_ckpt.map(|ckpt| {
-            if let Some(msg) = fingerprint.mismatch(&ckpt.fingerprint) {
+            let ours = fingerprint.as_ref().expect("built for a resume");
+            if let Some(msg) = ours.mismatch(&ckpt.fingerprint) {
                 panic!(
                     "checker reconfigured after resume_from(): {msg}; \
                      resuming into a different search space would be unsound"
@@ -743,16 +746,15 @@ impl<'a> Checker<'a> {
             }
         });
         let ckpt_dir = self.checkpoint_dir.clone();
-        let emit_fp = fingerprint.clone();
         let emit = move |snap: SnapshotData| -> Option<(String, PathBuf)> {
-            let dir = ckpt_dir.as_ref()?;
+            let (dir, fingerprint) = (ckpt_dir.as_ref()?, fingerprint.as_ref()?);
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("[checkpoint] cannot create {}: {e}", dir.display());
                 return None;
             }
             let ckpt = Checkpoint {
                 id: checkpoint::fresh_id(),
-                fingerprint: emit_fp.clone(),
+                fingerprint: fingerprint.clone(),
                 counters: snap.counters,
                 frontier: snap.frontier,
                 cache: snap.cache,

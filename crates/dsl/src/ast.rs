@@ -15,8 +15,10 @@ use crate::diag::Span;
 pub struct File {
     /// `scenario NAME` — the scenario's name.
     pub name: Option<(String, Span)>,
-    /// `procs N` — number of processes.
+    /// `procs N` — number of processes (the constant `n`).
     pub procs: Option<(u64, Span)>,
+    /// `param NAME = N` — named constants a caller may override.
+    pub params: Vec<ParamDecl>,
     /// `symmetric` — declares full process symmetry.
     pub symmetric: Option<Span>,
     /// Shared-variable declarations, in declaration order.
@@ -33,6 +35,18 @@ pub struct File {
     pub twin: Option<TwinDecl>,
 }
 
+/// One `param NAME = N` declaration: a compile-time constant with a
+/// default, which [`crate::compile_with`] may override.
+#[derive(Clone, Debug)]
+pub struct ParamDecl {
+    /// Constant name.
+    pub name: String,
+    /// Span of the name.
+    pub span: Span,
+    /// Default value.
+    pub value: u64,
+}
+
 /// One `var` or `array` declaration.
 #[derive(Clone, Debug)]
 pub struct VarDecl {
@@ -45,8 +59,11 @@ pub struct VarDecl {
     /// Initial value (defaults to 0).
     pub init: Option<Expr>,
     /// `= {e, e, …}` — per-element initial values (arrays only). The
-    /// list length must match the declared array length.
+    /// list length must match the declared array length unless it ends
+    /// in `..`, which leaves the remaining elements at 0.
     pub init_list: Option<Vec<Expr>>,
+    /// Whether the element list ends in `..`.
+    pub init_rest: bool,
     /// Symmetry/ownership annotations.
     pub annots: Vec<Annot>,
 }
@@ -86,6 +103,9 @@ pub enum PItem {
         span: Span,
         /// Optional symmetry kind (`one_based`, `zero_idx`, …).
         kind: Option<(String, Span)>,
+        /// `at LABEL` — the kind applies only while the program counter
+        /// rests at that label; without it, at every pc.
+        scope: Option<(String, Span)>,
         /// Optional initial value (defaults to 0).
         init: Option<Expr>,
     },
@@ -99,6 +119,26 @@ pub enum PItem {
     },
     /// An executable statement.
     Stmt(Stmt),
+    /// `if COND { … } [else { … }]` — a compile-time choice between two
+    /// item lists; `COND` may only use constants (`me`, `n`, params).
+    Static {
+        /// The condition.
+        cond: StaticCond,
+        /// Items kept when the condition holds.
+        then: Vec<PItem>,
+        /// Items kept otherwise.
+        els: Vec<PItem>,
+    },
+}
+
+/// The condition of a compile-time `if { … }`: `A CMP B`, or a bare
+/// `A` meaning `A != 0`.
+#[derive(Clone, Debug)]
+pub struct StaticCond {
+    /// Left operand.
+    pub a: Expr,
+    /// Comparison and right operand, if any.
+    pub cmp: Option<(Cmp, Expr)>,
 }
 
 /// The keyword statements that lower to a single marker instruction.

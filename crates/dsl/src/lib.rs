@@ -23,14 +23,18 @@
 //! check pso expect violation
 //! ```
 //!
-//! Because each statement lowers to exactly one instruction, a scenario
-//! transliterated from a native lock compiler produces bit-identical
-//! bytecode, which is what lets the corpus under `scenarios/` pin every
-//! DSL lock port against its native twin by verdict *and* state count.
+//! Each statement lowers to exactly one instruction, and compile-time
+//! `if COND { … } else { … }` blocks over constants (`me`, `n`, and
+//! `param`s) choose which statements a process gets. The lock ports
+//! under `scenarios/locks/` are the bytecode source of the portfolio
+//! locks: `tpa-algos` lowers them with the caller's `n`, passage count
+//! and variant flags, and the corpus pins each against its native
+//! `Program` by verdict *and* state count.
 //!
-//! Entry points: [`compile`] for source text, [`compile_named`] to tag
-//! diagnostics with a file name. Errors are [`Diagnostic`]s carrying
-//! byte spans; render them with [`Diagnostic::render`].
+//! Entry points: [`compile`] for source text, [`compile_with`] to
+//! override declared constants, [`compile_named`] to tag diagnostics
+//! with a file name. Errors are [`Diagnostic`]s carrying byte spans;
+//! render them with [`Diagnostic::render`].
 
 #![warn(missing_docs)]
 
@@ -47,7 +51,14 @@ pub use parser::parse;
 
 /// Compiles scenario source to a checkable [`CompiledScenario`].
 pub fn compile(src: &str) -> Result<CompiledScenario, Diagnostic> {
-    lower::lower(&parser::parse(src)?)
+    compile_with(src, &[])
+}
+
+/// [`compile`] with the declared values of some constants replaced:
+/// `("n", k)` sets the process count, and any other name must be a
+/// `param` the source declares (`param passages = 1`).
+pub fn compile_with(src: &str, consts: &[(&str, u64)]) -> Result<CompiledScenario, Diagnostic> {
+    lower::lower(&parser::parse(src)?, consts)
 }
 
 /// [`compile`], pre-rendering any diagnostic against `origin` (a file
@@ -95,6 +106,24 @@ mod tests {
         .expect("template compiles");
         assert_eq!(s.system.n(), 3);
         assert!(s.symmetric);
+    }
+
+    #[test]
+    fn overridden_constants_size_arrays_and_pick_blocks() {
+        let src = "scenario t procs 2 param passages = 1
+             array grant[n * passages + 1] = {1, ..}
+             array victim[n - 1]
+             proc* { reg left = passages  if n == 1 { halt } else { fence  halt } }";
+        let s = compile_with(src, &[("n", 1), ("passages", 3)]).expect("compiles");
+        assert_eq!(s.system.n(), 1);
+        assert_eq!(
+            s.system.vars().count(),
+            4,
+            "three grant slots, no victim slot"
+        );
+        let code = s.system.bytecode(tpa_tso::ProcId(0));
+        assert_eq!(code.init_regs[0], 3);
+        assert_eq!(code.code.len(), 1, "only the `n == 1` arm is emitted");
     }
 
     #[test]

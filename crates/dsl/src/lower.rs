@@ -2,18 +2,21 @@
 //! parsed [`File`] into a [`VmSystem`] through [`tpa_tso::Asm`].
 //!
 //! The translation is deliberately 1:1 — every statement emits exactly
-//! one bytecode instruction — so a scenario transliterated from one of
-//! the native lock compilers in `tpa-algos` produces *identical*
-//! bytecode, and therefore (by the PR-6 native-vs-VM bijection) an
-//! identical state space. That is what lets the corpus pin the DSL lock
-//! ports against their native twins by verdict *and* unique-state count.
+//! one bytecode instruction — so a lock port's control structure is its
+//! bytecode's, rest point for rest point.
 //!
-//! Per-process constants: inside a `proc` block the names `me` (this
-//! process' id) and `n` (the process count) are compile-time constants;
-//! a `proc*` template is lowered once per process with `me` rebound, so
-//! pid-dependent code (`number[me] = v`, `if me < j goto served`) folds
-//! to per-process immediates exactly like the hand-written compilers
-//! bake `me` in.
+//! Constants: `n` (the process count, set by `procs`) and every `param`
+//! are compile-time constants everywhere; inside a `proc` block so is
+//! `me` (this process' id). A `proc*` template is lowered once per
+//! process with `me` rebound, so pid-dependent code (`number[me] = v`,
+//! `if me < j goto served`) folds to per-process immediates, and
+//! compile-time `if COND { … } else { … }` blocks keep or drop whole
+//! statement runs per process (onebit's halves, filter's `n == 1` case).
+//! A caller may override `n` and any `param` ([`crate::compile_with`]).
+//!
+//! Register kinds hold at every pc, or with `at LABEL` only at that
+//! label's rest point (a scan index is a pid position only while the
+//! scan rests there).
 //!
 //! Symmetry declarations are validated here where they are statically
 //! checkable (a `pid_indexed` array whose length is not `procs`, register
@@ -22,14 +25,16 @@
 //! lockstep walk where they are not (a declaration that is wrong about
 //! the *dynamics* falls back to concrete state keys there).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use tpa_tso::{
-    Asm, Bytecode, Label, Machine, MemoryModel, Operand, PidEncoding, ProcId, RegKind, SymMode,
-    VRef, Value, VarId, VarSpec, VmSystem, DISCARD, NREGS,
+    Asm, Bytecode, Cmp, Label, Machine, MemoryModel, Operand, PidEncoding, ProcId, RegKind,
+    SymMode, VRef, Value, VarId, VarSpec, VmSystem, DISCARD, NREGS,
 };
 
-use crate::ast::{self, Annot, AssignOp, BinOp, CasObs, Expr, File, PItem, SimpleKind, Stmt};
+use crate::ast::{
+    self, Annot, AssignOp, BinOp, CasObs, Expr, File, PItem, SimpleKind, StaticCond, Stmt,
+};
 use crate::diag::{suggest, Diagnostic, Span};
 
 pub use crate::ast::{AssertKind, Expect};
@@ -94,7 +99,7 @@ enum FExpr {
     And(Box<FExpr>, Box<FExpr>),
     Or(Box<FExpr>, Box<FExpr>),
     Not(Box<FExpr>),
-    Cmp(FVal, tpa_tso::Cmp, FVal),
+    Cmp(FVal, Cmp, FVal),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -146,17 +151,52 @@ struct VarInfo {
     len: Option<u64>,
 }
 
-/// Lowers a parsed file to a [`CompiledScenario`].
-pub fn lower(file: &File) -> Result<CompiledScenario, Diagnostic> {
+/// The compile-time constants in scope: `n` and every `param`.
+type Consts = HashMap<String, i64>;
+
+/// Lowers a parsed file to a [`CompiledScenario`]. `overrides` replace
+/// the declared values of constants: `n` (the `procs` count) or any
+/// `param`; naming a constant the file does not declare is an error.
+pub fn lower(file: &File, overrides: &[(&str, u64)]) -> Result<CompiledScenario, Diagnostic> {
     let top = Span::new(0, 0);
     let name = file
         .name
         .as_ref()
         .map(|(n, _)| n.clone())
         .unwrap_or_else(|| "scenario".to_owned());
-    let Some((procs, procs_span)) = file.procs else {
+    let Some((mut procs, procs_span)) = file.procs else {
         return Err(Diagnostic::new(top, "missing `procs N` declaration"));
     };
+    let in_range = |v: u64, span: Span| {
+        i64::try_from(v).map_err(|_| Diagnostic::new(span, "constant is out of range"))
+    };
+    let mut consts = Consts::new();
+    for p in &file.params {
+        if p.name == "me" || p.name == "n" || consts.contains_key(&p.name) {
+            return Err(Diagnostic::new(
+                p.span,
+                format!("constant `{}` is already defined", p.name),
+            ));
+        }
+        consts.insert(p.name.clone(), in_range(p.value, p.span)?);
+    }
+    for &(key, value) in overrides {
+        if key == "n" {
+            procs = value;
+        } else if let Some(slot) = consts.get_mut(key) {
+            *slot = in_range(value, procs_span)?;
+        } else {
+            let mut d = Diagnostic::new(
+                procs_span,
+                format!("cannot override `{key}`: the scenario declares no such constant"),
+            );
+            let declared = consts.keys().map(String::as_str).chain(["n"]);
+            if let Some(s) = suggest(key, declared) {
+                d = d.with_help(format!("did you mean `{s}`?"));
+            }
+            return Err(d);
+        }
+    }
     if procs == 0 || procs > 64 {
         return Err(Diagnostic::new(
             procs_span,
@@ -164,6 +204,7 @@ pub fn lower(file: &File) -> Result<CompiledScenario, Diagnostic> {
         ));
     }
     let n = procs as usize;
+    consts.insert("n".to_owned(), procs as i64);
 
     // --- Shared variables -------------------------------------------------
     let mut vars: HashMap<String, VarInfo> = HashMap::new();
@@ -176,14 +217,14 @@ pub fn lower(file: &File) -> Result<CompiledScenario, Diagnostic> {
                 format!("variable `{}` is declared twice", decl.name),
             ));
         }
-        if decl.name == "me" || decl.name == "n" {
+        if decl.name == "me" || consts.contains_key(&decl.name) {
             return Err(Diagnostic::new(
                 decl.span,
                 format!("`{}` is a reserved constant name", decl.name),
             ));
         }
         let init = match &decl.init {
-            Some(e) => fold_const(e, None, n)? as Value,
+            Some(e) => fold_const(e, None, &consts)? as Value,
             None => 0,
         };
         let base = match &decl.len {
@@ -192,7 +233,7 @@ pub fn lower(file: &File) -> Result<CompiledScenario, Diagnostic> {
                 for a in &decl.annots {
                     match a {
                         Annot::Owner(e, span) => {
-                            let v = fold_const(e, None, n)?;
+                            let v = fold_const(e, None, &consts)?;
                             if v < 0 || v as usize >= n {
                                 return Err(Diagnostic::new(
                                     *span,
@@ -226,11 +267,11 @@ pub fn lower(file: &File) -> Result<CompiledScenario, Diagnostic> {
                 id
             }
             Some(len_expr) => {
-                let len = fold_const(len_expr, None, n)?;
-                if len <= 0 {
+                let len = fold_const(len_expr, None, &consts)?;
+                if len < 0 {
                     return Err(Diagnostic::new(
                         len_expr.span(),
-                        format!("array length must be positive, got {len}"),
+                        format!("array length must be non-negative, got {len}"),
                     ));
                 }
                 let len = len as usize;
@@ -244,7 +285,7 @@ pub fn lower(file: &File) -> Result<CompiledScenario, Diagnostic> {
                 let base = match &decl.init_list {
                     None => b.array(&decl.name, len, init, |i| local.then_some(ProcId(i as u32))),
                     Some(elems) => {
-                        if elems.len() != len {
+                        if elems.len() > len || (elems.len() < len && !decl.init_rest) {
                             return Err(Diagnostic::new(
                                 decl.span,
                                 format!(
@@ -257,13 +298,17 @@ pub fn lower(file: &File) -> Result<CompiledScenario, Diagnostic> {
                         // Element-wise `var` pushes: same contiguous ids
                         // and `name[i]` naming as `array`, per-element
                         // inits (the shape the native ticket lock uses
-                        // for its pre-granted `grant[0]`).
+                        // for its pre-granted `grant[0]`); a `..` tail
+                        // pads with zeros.
                         let mut first = None;
-                        for (i, e) in elems.iter().enumerate() {
-                            let v = fold_const(e, None, n)?;
+                        for i in 0..len {
+                            let v = match elems.get(i) {
+                                Some(e) => fold_const(e, None, &consts)?,
+                                None => 0,
+                            };
                             if v < 0 {
                                 return Err(Diagnostic::new(
-                                    e.span(),
+                                    elems[i].span(),
                                     format!("initial values must be non-negative, got {v}"),
                                 ));
                             }
@@ -274,7 +319,7 @@ pub fn lower(file: &File) -> Result<CompiledScenario, Diagnostic> {
                             );
                             first.get_or_insert(id);
                         }
-                        first.unwrap()
+                        first.expect("a list has an element, so `len > 0`")
                     }
                 };
                 for a in &decl.annots {
@@ -359,7 +404,7 @@ pub fn lower(file: &File) -> Result<CompiledScenario, Diagnostic> {
         } else {
             &file.blocks[me]
         };
-        let (bc, regs) = lower_block(block, me, n, &vars, symmetric)?;
+        let (bc, regs) = lower_block(block, me, &consts, &vars, symmetric)?;
         code.push(bc);
         reg_maps.push(regs);
     }
@@ -367,7 +412,7 @@ pub fn lower(file: &File) -> Result<CompiledScenario, Diagnostic> {
     // --- Forbid predicates ------------------------------------------------
     let mut forbids = Vec::new();
     for decl in &file.forbids {
-        let expr = lower_bexpr(&decl.expr, n, &vars, &reg_maps)?;
+        let expr = lower_bexpr(&decl.expr, &consts, &vars, &reg_maps)?;
         forbids.push(Forbid {
             text: decl.text.clone(),
             n,
@@ -451,7 +496,7 @@ fn parse_reg_kind(kind: &str, span: Span) -> Result<RegKind, Diagnostic> {
 
 /// Folds a constant expression; `me` is only available inside a proc
 /// block. Errors point at the first non-constant name.
-fn fold_const(e: &Expr, me: Option<usize>, n: usize) -> Result<i64, Diagnostic> {
+fn fold_const(e: &Expr, me: Option<usize>, consts: &Consts) -> Result<i64, Diagnostic> {
     match e {
         Expr::Int(v, span) => {
             i64::try_from(*v).map_err(|_| Diagnostic::new(*span, "constant is out of range"))
@@ -460,32 +505,100 @@ fn fold_const(e: &Expr, me: Option<usize>, n: usize) -> Result<i64, Diagnostic> 
             "me" => me.map(|m| m as i64).ok_or_else(|| {
                 Diagnostic::new(*span, "`me` is only available inside a `proc` block")
             }),
-            "n" => Ok(n as i64),
-            other => Err(Diagnostic::new(
-                *span,
-                format!("`{other}` is not a compile-time constant here"),
-            )),
+            other => consts.get(other).copied().ok_or_else(|| {
+                Diagnostic::new(
+                    *span,
+                    format!("`{other}` is not a compile-time constant here"),
+                )
+            }),
         },
         Expr::Index(v) => Err(Diagnostic::new(
             v.span,
             "array elements are not compile-time constants",
         )),
         Expr::Bin(a, op, b) => {
-            let (a, b) = (fold_const(a, me, n)?, fold_const(b, me, n)?);
+            let (a, b) = (fold_const(a, me, consts)?, fold_const(b, me, consts)?);
             Ok(match op {
                 BinOp::Add => a.wrapping_add(b),
                 BinOp::Sub => a.wrapping_sub(b),
                 BinOp::Mul => a.wrapping_mul(b),
             })
         }
-        Expr::Neg(a, _) => Ok(-fold_const(a, me, n)?),
+        Expr::Neg(a, _) => Ok(-fold_const(a, me, consts)?),
     }
+}
+
+/// The span of the first name in `e` that `hit` accepts.
+fn find_name(e: &Expr, hit: &dyn Fn(&str) -> bool) -> Option<Span> {
+    match e {
+        Expr::Name(name, span) if hit(name) => Some(*span),
+        Expr::Bin(a, _, b) => find_name(a, hit).or_else(|| find_name(b, hit)),
+        Expr::Neg(a, _) => find_name(a, hit),
+        _ => None,
+    }
+}
+
+/// Every item of a block, descending into both arms of compile-time
+/// `if`s (so a name is "defined" if any instantiation defines it).
+fn walk<'a>(items: &'a [PItem], f: &mut impl FnMut(&'a PItem)) {
+    for item in items {
+        f(item);
+        if let PItem::Static { then, els, .. } = item {
+            walk(then, f);
+            walk(els, f);
+        }
+    }
+}
+
+/// Resolves compile-time `if`s for process `me`: the items this process
+/// keeps, in order.
+fn flatten<'a>(
+    items: &'a [PItem],
+    me: usize,
+    consts: &Consts,
+    regs: &HashSet<&str>,
+    out: &mut Vec<&'a PItem>,
+) -> Result<(), Diagnostic> {
+    for item in items {
+        let PItem::Static { cond, then, els } = item else {
+            out.push(item);
+            continue;
+        };
+        let StaticCond { a, cmp } = cond;
+        let exprs = std::iter::once(a).chain(cmp.as_ref().map(|(_, b)| b));
+        for e in exprs {
+            if let Some(span) = find_name(e, &|name| regs.contains(name)) {
+                return Err(Diagnostic::new(
+                    span,
+                    "a compile-time `if { … }` cannot read a register",
+                )
+                .with_help("branch at run time with `if A CMP B goto LABEL`"));
+            }
+        }
+        let a = fold_const(a, Some(me), consts)?;
+        let holds = match cmp {
+            None => a != 0,
+            Some((cmp, b)) => {
+                let b = fold_const(b, Some(me), consts)?;
+                match cmp {
+                    Cmp::Eq => a == b,
+                    Cmp::Ne => a != b,
+                    Cmp::Lt => a < b,
+                    Cmp::Le => a <= b,
+                    Cmp::Gt => a > b,
+                    Cmp::Ge => a >= b,
+                }
+            }
+        };
+        flatten(if holds { then } else { els }, me, consts, regs, out)?;
+    }
+    Ok(())
 }
 
 /// Per-block lowering context.
 struct Ctx<'f> {
     me: usize,
-    n: usize,
+    consts: &'f Consts,
     vars: &'f HashMap<String, VarInfo>,
     regs: HashMap<String, u8>,
     labels: HashMap<String, Label>,
@@ -497,7 +610,8 @@ impl Ctx<'_> {
             .keys()
             .map(String::as_str)
             .chain(self.vars.keys().map(String::as_str))
-            .chain(["me", "n"])
+            .chain(self.consts.keys().map(String::as_str))
+            .chain(["me"])
             .collect()
     }
 
@@ -511,7 +625,7 @@ impl Ctx<'_> {
 
     /// `me`-aware constant fold.
     fn fold(&self, e: &Expr) -> Result<i64, Diagnostic> {
-        fold_const(e, Some(self.me), self.n)
+        fold_const(e, Some(self.me), self.consts)
     }
 
     /// Splits an additive expression into (register, constant displacement).
@@ -521,9 +635,11 @@ impl Ctx<'_> {
                 if let Some(&r) = self.regs.get(name.as_str()) {
                     return Ok((Some(r), 0));
                 }
+                if let Some(&k) = self.consts.get(name.as_str()) {
+                    return Ok((None, k));
+                }
                 match name.as_str() {
                     "me" => Ok((None, self.me as i64)),
-                    "n" => Ok((None, self.n as i64)),
                     other if self.vars.contains_key(other) => Err(Diagnostic::new(
                         *span,
                         format!(
@@ -660,21 +776,35 @@ impl Ctx<'_> {
 fn lower_block(
     block: &ast::ProcBlock,
     me: usize,
-    n: usize,
+    consts: &Consts,
     vars: &HashMap<String, VarInfo>,
     symmetric: bool,
 ) -> Result<(Bytecode, HashMap<String, u8>), Diagnostic> {
+    // Pass 0: the names any instantiation declares, then this process'
+    // items with compile-time `if`s resolved.
+    let (mut all_regs, mut all_labels) = (HashSet::new(), Vec::new());
+    walk(&block.items, &mut |item| match item {
+        PItem::Reg { name, .. } => {
+            all_regs.insert(name.as_str());
+        }
+        PItem::Label { name, .. } => all_labels.push(name.as_str()),
+        _ => {}
+    });
+    let mut items = Vec::new();
+    flatten(&block.items, me, consts, &all_regs, &mut items)?;
+
     // Pass 1: registers and label names.
     let mut regs: HashMap<String, u8> = HashMap::new();
     let mut reg_inits: Vec<(u8, &Option<Expr>)> = Vec::new();
-    let mut reg_kinds: Vec<(u8, RegKind, Span)> = Vec::new();
+    let mut reg_kinds: Vec<(u8, RegKind, Option<&str>)> = Vec::new();
     let mut label_names: Vec<(String, Span)> = Vec::new();
-    for item in &block.items {
+    for &item in &items {
         match item {
             PItem::Reg {
                 name,
                 span,
                 kind,
+                scope,
                 init,
             } => {
                 if regs.contains_key(name) {
@@ -683,7 +813,7 @@ fn lower_block(
                         format!("register `{name}` is declared twice"),
                     ));
                 }
-                if vars.contains_key(name) || name == "me" || name == "n" {
+                if vars.contains_key(name) || name == "me" || consts.contains_key(name) {
                     return Err(Diagnostic::new(
                         *span,
                         format!("register `{name}` shadows a variable or reserved constant"),
@@ -710,7 +840,17 @@ fn lower_block(
                                 "add a top-level `symmetric` declaration or drop the kind",
                             ));
                         }
-                        reg_kinds.push((idx as u8, k, *kspan));
+                        if let Some((label, lspan)) = scope {
+                            if !all_labels.contains(&label.as_str()) {
+                                let mut d =
+                                    Diagnostic::new(*lspan, format!("undefined label `{label}`"));
+                                if let Some(s) = suggest(label, all_labels.iter().copied()) {
+                                    d = d.with_help(format!("did you mean `{s}`?"));
+                                }
+                                return Err(d);
+                            }
+                        }
+                        reg_kinds.push((idx as u8, k, scope.as_ref().map(|(l, _)| l.as_str())));
                     }
                 }
             }
@@ -723,7 +863,7 @@ fn lower_block(
                 }
                 label_names.push((name.clone(), *span));
             }
-            PItem::Stmt(_) => {}
+            PItem::Stmt(_) | PItem::Static { .. } => {}
         }
     }
 
@@ -731,7 +871,7 @@ fn lower_block(
     let mut a = Asm::new();
     let mut ctx = Ctx {
         me,
-        n,
+        consts,
         vars,
         regs,
         labels: HashMap::new(),
@@ -741,9 +881,9 @@ fn lower_block(
         ctx.labels.insert(name.clone(), l);
     }
     let mut recover_pc = None;
-    for item in &block.items {
+    for &item in &items {
         match item {
-            PItem::Reg { .. } => {}
+            PItem::Reg { .. } | PItem::Static { .. } => {}
             PItem::Label { name, .. } => {
                 a.bind(ctx.labels[name]);
                 if name == "recover" {
@@ -771,24 +911,33 @@ fn lower_block(
         }
     }
 
-    let len = a.len();
-    let code = a.finish();
-    let sym = if symmetric {
-        if reg_kinds.is_empty() {
-            SymMode::Equivariant
-        } else {
-            let mut row = [RegKind::Plain; NREGS];
-            for (idx, kind, _) in &reg_kinds {
-                row[*idx as usize] = *kind;
-            }
-            SymMode::Kinds(vec![row; len])
-        }
-    } else {
+    // A kind without a scope holds at every pc; a scoped kind only at
+    // its label's rest point, if this process emitted that label.
+    let sym = if !symmetric {
         SymMode::Asymmetric
+    } else if reg_kinds.is_empty() {
+        SymMode::Equivariant
+    } else {
+        let mut rows = vec![[RegKind::Plain; NREGS]; a.len()];
+        for &(idx, kind, scope) in &reg_kinds {
+            match scope {
+                None => rows.iter_mut().for_each(|row| row[idx as usize] = kind),
+                Some(label) => {
+                    if let Some(row) = ctx
+                        .labels
+                        .get(label)
+                        .and_then(|&l| rows.get_mut(a.pc_of(l) as usize))
+                    {
+                        row[idx as usize] = kind;
+                    }
+                }
+            }
+        }
+        SymMode::Kinds(rows)
     };
     Ok((
         Bytecode {
-            code,
+            code: a.finish(),
             init_regs,
             recover_pc,
             sym,
@@ -971,37 +1120,38 @@ fn emit_assign(
 
 fn lower_bexpr(
     e: &ast::BExpr,
-    n: usize,
+    consts: &Consts,
     vars: &HashMap<String, VarInfo>,
     reg_maps: &[HashMap<String, u8>],
 ) -> Result<FExpr, Diagnostic> {
     Ok(match e {
         ast::BExpr::And(x, y) => FExpr::And(
-            Box::new(lower_bexpr(x, n, vars, reg_maps)?),
-            Box::new(lower_bexpr(y, n, vars, reg_maps)?),
+            Box::new(lower_bexpr(x, consts, vars, reg_maps)?),
+            Box::new(lower_bexpr(y, consts, vars, reg_maps)?),
         ),
         ast::BExpr::Or(x, y) => FExpr::Or(
-            Box::new(lower_bexpr(x, n, vars, reg_maps)?),
-            Box::new(lower_bexpr(y, n, vars, reg_maps)?),
+            Box::new(lower_bexpr(x, consts, vars, reg_maps)?),
+            Box::new(lower_bexpr(y, consts, vars, reg_maps)?),
         ),
-        ast::BExpr::Not(x) => FExpr::Not(Box::new(lower_bexpr(x, n, vars, reg_maps)?)),
+        ast::BExpr::Not(x) => FExpr::Not(Box::new(lower_bexpr(x, consts, vars, reg_maps)?)),
         ast::BExpr::Cmp(a, cmp, b) => FExpr::Cmp(
-            lower_fterm(a, n, vars, reg_maps)?,
+            lower_fterm(a, consts, vars, reg_maps)?,
             *cmp,
-            lower_fterm(b, n, vars, reg_maps)?,
+            lower_fterm(b, consts, vars, reg_maps)?,
         ),
     })
 }
 
 fn lower_fterm(
     t: &ast::FTerm,
-    n: usize,
+    consts: &Consts,
     vars: &HashMap<String, VarInfo>,
     reg_maps: &[HashMap<String, u8>],
 ) -> Result<FVal, Diagnostic> {
     match t {
         ast::FTerm::Int(v, _) => Ok(FVal::Const(*v)),
         ast::FTerm::Reg { pid, reg, span } => {
+            let n = reg_maps.len();
             if *pid as usize >= n {
                 return Err(Diagnostic::new(
                     *span,
@@ -1030,7 +1180,7 @@ fn lower_fterm(
             match (&vr.index, info.len) {
                 (None, None) => Ok(FVal::Mem(info.base)),
                 (Some(idx), Some(len)) => {
-                    let k = fold_const(idx, None, n)?;
+                    let k = fold_const(idx, None, consts)?;
                     if k < 0 || k as u64 >= len {
                         return Err(Diagnostic::new(
                             idx.span(),

@@ -6,9 +6,10 @@
 //! file      := item*
 //! item      := "scenario" (IDENT | STRING)
 //!            | "procs" INT
+//!            | "param" IDENT "=" INT
 //!            | "symmetric"
 //!            | "var" IDENT ["=" expr] annot*
-//!            | "array" IDENT "[" expr "]" ["=" (expr | "{" expr {"," expr} "}")] annot*
+//!            | "array" IDENT "[" expr "]" ["=" (expr | "{" expr {"," expr} ["," ".."] "}")] annot*
 //!            | "proc" ["*"] "{" pitem* "}"
 //!            | "forbid" bexpr
 //!            | "assert" ("exclusion"|"liveness"|"crash_exclusion"|"recovery")
@@ -17,8 +18,9 @@
 //! annot     := "pid_indexed" | "pid_valued" "(" ("zero_based"|"one_based") ")"
 //!            | "local" | "owner" "(" expr ")"
 //! opt       := ("steps"|"crashes"|"transitions") INT
-//! pitem     := "reg" IDENT [":" KIND] ["=" expr]
+//! pitem     := "reg" IDENT [":" KIND ["at" IDENT]] ["=" expr]
 //!            | IDENT ":"
+//!            | "if" expr [cmp expr] "{" pitem* "}" ["else" "{" pitem* "}"]
 //!            | stmt
 //! stmt      := "enter" | "cs" | "exit" | "fence" | "halt"
 //!            | "goto" IDENT
@@ -47,6 +49,7 @@ use crate::lexer::{lex, Tok, Token};
 const ITEM_KEYWORDS: &[&str] = &[
     "scenario",
     "procs",
+    "param",
     "symmetric",
     "var",
     "array",
@@ -175,6 +178,13 @@ impl<'s> Parser<'s> {
                         let (v, s) = self.int("a process count")?;
                         self.file.procs = Some((v, s));
                     }
+                    "param" => {
+                        self.next();
+                        let (name, span) = self.ident("a constant name")?;
+                        self.expect(Tok::Assign, "`=`")?;
+                        let (value, _) = self.int("a default value")?;
+                        self.file.params.push(ParamDecl { name, span, value });
+                    }
                     "symmetric" => {
                         self.next();
                         self.file.symmetric = Some(t.span);
@@ -215,7 +225,7 @@ impl<'s> Parser<'s> {
         } else {
             None
         };
-        let (mut init, mut init_list) = (None, None);
+        let (mut init, mut init_list, mut init_rest) = (None, None, false);
         if self.peek().tok == Tok::Assign {
             self.next();
             if self.peek().tok == Tok::LBrace {
@@ -229,6 +239,12 @@ impl<'s> Parser<'s> {
                 let mut elems = vec![self.expr()?];
                 while self.peek().tok == Tok::Comma {
                     self.next();
+                    if self.peek().tok == Tok::Dot && self.peek2().tok == Tok::Dot {
+                        self.next();
+                        self.next();
+                        init_rest = true;
+                        break;
+                    }
                     elems.push(self.expr()?);
                 }
                 self.expect(Tok::RBrace, "`}` or `,`")?;
@@ -273,6 +289,7 @@ impl<'s> Parser<'s> {
             len,
             init,
             init_list,
+            init_rest,
             annots,
         });
         Ok(())
@@ -302,15 +319,7 @@ impl<'s> Parser<'s> {
             }
             false
         };
-        self.expect(Tok::LBrace, "`{`")?;
-        let mut items = Vec::new();
-        while self.peek().tok != Tok::RBrace {
-            if self.peek().tok == Tok::Eof {
-                return Err(self.err(self.peek().span, "unclosed `proc` block (missing `}`)"));
-            }
-            items.push(self.proc_item()?);
-        }
-        self.next(); // }
+        let items = self.item_block()?;
         self.file.blocks.push(ProcBlock {
             template,
             span,
@@ -331,12 +340,16 @@ impl<'s> Parser<'s> {
             "reg" => {
                 self.next();
                 let (name, span) = self.ident("a register name")?;
-                let kind = if self.peek().tok == Tok::Colon {
+                let (mut kind, mut scope) = (None, None);
+                if self.peek().tok == Tok::Colon {
                     self.next();
-                    Some(self.ident("a register kind")?)
-                } else {
-                    None
-                };
+                    kind = Some(self.ident("a register kind")?);
+                    // `at L` scopes the kind; `at:` would be a label.
+                    if self.at_ident("at") && self.peek2().tok != Tok::Colon {
+                        self.next();
+                        scope = Some(self.ident("a label")?);
+                    }
+                }
                 let init = if self.peek().tok == Tok::Assign {
                     self.next();
                     Some(self.expr()?)
@@ -347,6 +360,7 @@ impl<'s> Parser<'s> {
                     name,
                     span,
                     kind,
+                    scope,
                     init,
                 })
             }
@@ -369,8 +383,17 @@ impl<'s> Parser<'s> {
             "if" => {
                 self.next();
                 let a = self.expr()?;
+                if self.peek().tok == Tok::LBrace {
+                    return self.static_if(StaticCond { a, cmp: None });
+                }
                 let cmp = self.cmp()?;
                 let b = self.expr()?;
+                if self.peek().tok == Tok::LBrace {
+                    return self.static_if(StaticCond {
+                        a,
+                        cmp: Some((cmp, b)),
+                    });
+                }
                 self.kw("goto")?;
                 let target = self.ident("a label")?;
                 let span = t.span.to(target.1);
@@ -477,6 +500,32 @@ impl<'s> Parser<'s> {
                 Ok(PItem::Stmt(Stmt::Assign { lhs, op, rhs, span }))
             }
         }
+    }
+
+    /// The rest of a compile-time `if COND { … } [else { … }]`, from the
+    /// opening brace.
+    fn static_if(&mut self, cond: StaticCond) -> Result<PItem, Diagnostic> {
+        let then = self.item_block()?;
+        let els = if self.eat_ident("else") {
+            self.item_block()?
+        } else {
+            Vec::new()
+        };
+        Ok(PItem::Static { cond, then, els })
+    }
+
+    /// `{ pitem* }`.
+    fn item_block(&mut self) -> Result<Vec<PItem>, Diagnostic> {
+        self.expect(Tok::LBrace, "`{`")?;
+        let mut items = Vec::new();
+        while self.peek().tok != Tok::RBrace {
+            if self.peek().tok == Tok::Eof {
+                return Err(self.err(self.peek().span, "unclosed block (missing `}`)"));
+            }
+            items.push(self.proc_item()?);
+        }
+        self.next(); // }
+        Ok(items)
     }
 
     fn cas_tail(&mut self, obs: CasObs, start: Span) -> Result<PItem, Diagnostic> {

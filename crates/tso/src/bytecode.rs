@@ -785,9 +785,10 @@ pub struct Label(usize);
 
 const UNBOUND: u16 = u16::MAX;
 
-/// A tiny single-pass assembler with labels, used by the per-lock
-/// compilers in `tpa-algos` and the script lowering in
-/// [`crate::scripted`].
+/// A tiny single-pass assembler with labels, used by the scenario DSL's
+/// lowering (`tpa-dsl`, which compiles most portfolio locks from their
+/// ports), the tournament lock's compiler in `tpa-algos`, and the script
+/// lowering in [`crate::scripted`].
 #[derive(Default)]
 pub struct Asm {
     code: Vec<BInstr>,

@@ -19,9 +19,9 @@
 #      encode/decode property tests
 #   7. the scenario DSL corpus, timed: every `.tpa` under scenarios/
 #      judged by check_file (every pinned clause must hold), then the
-#      corpus golden tests — ten lock ports bit-identical and
-#      state-count-equal to their native twins, diagnostics snapshots,
-#      and the parser fuzz battery
+#      corpus golden tests — ten lock ports equal to what their lock's
+#      compile_vm runs and state-count-equal to their native twins,
+#      diagnostics snapshots, and the parser fuzz battery
 #   8. the crash-fault model: exhaustive n = 2 with a crash budget of 1;
 #      the crash-gated negative control (unfenced recoverable bakery)
 #      must be caught and shrunk with its crash, and the telemetry it

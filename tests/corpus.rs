@@ -1,9 +1,10 @@
 //! Corpus golden tests: every `.tpa` scenario under `scenarios/`
 //! compiles, every `check` clause reproduces its pinned verdict, and
 //! every lock port that declares a `twin` is differentially equal to
-//! the native lock it transliterates — structurally (bit-identical
-//! bytecode) and behaviourally (same verdict, same state count, same
-//! transition count, at 1 and 4 checker worker threads).
+//! its native lock — structurally (the port compiled standalone is the
+//! bytecode the lock's `compile_vm` runs) and behaviourally (same
+//! verdict, same state count, same transition count, at 1 and 4 checker
+//! worker threads).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -68,12 +69,12 @@ fn every_scenario_compiles_and_matches_its_pinned_verdicts() {
     }
 }
 
-/// Lock ports with a `twin` declaration are transliterations, not
-/// reimplementations: their bytecode must be bit-identical to what the
-/// native lock's `compile_vm` emits (code, initial registers, recovery
-/// entry), and exhaustive search over both systems must agree on the
-/// verdict, the number of unique states, and the number of transitions
-/// — under both a single checker worker and four.
+/// Lock ports with a `twin` declaration are the bytecode source of
+/// their native lock: compiled standalone, a port must give exactly what
+/// the lock's `compile_vm` emits (code, initial registers, recovery
+/// entry), and exhaustive search over the port and the native `Program`
+/// must agree on the verdict, the number of unique states, and the
+/// number of transitions — under both a single checker worker and four.
 #[test]
 fn lock_ports_match_their_native_twins() {
     let mut ported = 0;
@@ -162,7 +163,9 @@ fn lock_ports_match_their_native_twins() {
 /// caching actually engaged (rather than falling back to concrete keys).
 #[test]
 fn symmetric_lock_ports_survive_the_lockstep_validation_walk() {
-    for name in ["tas", "ttas", "ticketq", "mcs"] {
+    for name in [
+        "tas", "ttas", "ticketq", "mcs", "filter", "dijkstra", "splitter",
+    ] {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("scenarios/locks")
             .join(format!("{name}.tpa"));

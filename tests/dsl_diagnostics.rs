@@ -93,3 +93,50 @@ fn register_kinds_require_a_symmetric_scenario() {
          = help: add a top-level `symmetric` declaration or drop the kind\n"
     );
 }
+
+#[test]
+fn compile_time_blocks_cannot_read_registers() {
+    let src = "scenario t\nprocs 1\nproc* {\n  reg j\n  if j == 0 { fence }\n  halt\n}\n";
+    assert_eq!(
+        render(src),
+        "error: a compile-time `if { … }` cannot read a register\n  \
+         --> snippet.tpa:5:6\n   \
+         |\n   \
+         |   if j == 0 { fence }\n   \
+         |      ^\n   \
+         = help: branch at run time with `if A CMP B goto LABEL`\n"
+    );
+}
+
+#[test]
+fn overriding_an_undeclared_constant_suggests_a_declared_one() {
+    let src = "scenario t\nprocs 1\nparam passages = 1\nproc* { halt }\n";
+    let rendered = match dsl::compile_with(src, &[("pasages", 2)]) {
+        Ok(_) => panic!("override of an undeclared constant was accepted"),
+        Err(d) => d.render(src, "snippet.tpa"),
+    };
+    assert_eq!(
+        rendered,
+        "error: cannot override `pasages`: the scenario declares no such constant\n  \
+         --> snippet.tpa:2:7\n   \
+         |\n   \
+         | procs 1\n   \
+         |       ^\n   \
+         = help: did you mean `passages`?\n"
+    );
+}
+
+#[test]
+fn scoped_register_kinds_name_a_defined_label() {
+    let src = "scenario t\nprocs 2\nsymmetric\narray b[n] pid_indexed\nproc* {\n  \
+               reg j: scan_all at wiatb\nwaitb:\n  when b[j] == 0 goto waitb else waitb\n}\n";
+    assert_eq!(
+        render(src),
+        "error: undefined label `wiatb`\n  \
+         --> snippet.tpa:6:22\n   \
+         |\n   \
+         |   reg j: scan_all at wiatb\n   \
+         |                      ^^^^^\n   \
+         = help: did you mean `waitb`?\n"
+    );
+}
