@@ -67,8 +67,8 @@ impl System for DijkstraLock {
     fn symmetric(&self) -> bool {
         // Processes are interchangeable: `turn` holds a pid (relabeled as
         // zero-based), `flag` is pid-indexed, and the only pid-order
-        // dependence — the scan — is handled as a renaming precondition
-        // in `state_hash_permuted`.
+        // dependence — the scan — limits a live process to renamings
+        // that keep pid order (`state_hash_permuted`).
         true
     }
 
@@ -141,21 +141,20 @@ impl Program for DijkstraProgram {
 
     fn state_hash_permuted(&self, perm: &Permutation, mut h: &mut dyn std::hash::Hasher) -> bool {
         use std::hash::Hash;
+        // Stage 2 scans the other processes in pid order, so until it is
+        // done the renamed program mirrors this one only under a
+        // renaming that keeps that order.
+        if !matches!(self.state, State::Done) && !perm.keeps_order_skipping(self.me) {
+            return false;
+        }
         let state = match self.state {
             // The watched turn-holder is a pid.
             State::ReadHolderFlag { holder } => State::ReadHolderFlag {
                 holder: perm.apply_index(holder),
             },
-            // A scan in pid order skipping `me`: the renamed program must
-            // have completed exactly the renamed prefix.
-            State::Scan { j } => {
-                if !perm.maps_scan_prefix(j, self.me) {
-                    return false;
-                }
-                State::Scan {
-                    j: perm.apply_index(j),
-                }
-            }
+            State::Scan { j } => State::Scan {
+                j: perm.apply_index(j),
+            },
             s => s,
         };
         state.hash(&mut h);

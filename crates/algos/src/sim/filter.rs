@@ -60,8 +60,8 @@ impl System for FilterLock {
     fn symmetric(&self) -> bool {
         // Processes are interchangeable: `level[]` is pid-indexed,
         // `victim[]` holds pids, and the only pid-order dependence — the
-        // per-level scan — is a renaming precondition in
-        // `state_hash_permuted`.
+        // per-level scan — limits a live process to renamings that keep
+        // pid order (`state_hash_permuted`).
         true
     }
 
@@ -137,17 +137,18 @@ impl Program for FilterProgram {
 
     fn state_hash_permuted(&self, perm: &Permutation, mut h: &mut dyn std::hash::Hasher) -> bool {
         use std::hash::Hash;
-        // Levels are plain data; only the scan position `k` is a pid.
+        // Every level scans the other processes in pid order, so until
+        // it is done the renamed program mirrors this one only under a
+        // renaming that keeps that order. Levels are plain data; only
+        // the scan position `k` is a pid.
+        if !matches!(self.state, State::Done) && !perm.keeps_order_skipping(self.me) {
+            return false;
+        }
         let state = match self.state {
-            State::Scan { l, k } => {
-                if !perm.maps_scan_prefix(k, self.me) {
-                    return false;
-                }
-                State::Scan {
-                    l,
-                    k: perm.apply_index(k),
-                }
-            }
+            State::Scan { l, k } => State::Scan {
+                l,
+                k: perm.apply_index(k),
+            },
             s => s,
         };
         state.hash(&mut h);

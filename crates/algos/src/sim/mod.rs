@@ -20,12 +20,19 @@ pub type LockSystem = Box<dyn System>;
 /// `scenarios/locks/` with `n = sys.n()` and the given constants. Only
 /// the per-process bytecode comes from the port; name, variable layout
 /// and symmetry are the native system's, as [`VmSystem::new`] requires.
-/// `None` if the port does not compile for this instance (the DSL's
-/// limit is 64 processes), which tells the checker to run natively.
+/// `None` above the DSL's process limit, which tells the checker to run
+/// natively. Any other lowering error is a defect in the embedded port
+/// and panics with the rendered diagnostic.
 fn lower_port(sys: &dyn System, src: &str, consts: &[(&str, u64)]) -> Option<VmSystem> {
+    if sys.n() > tpa_dsl::MAX_PROCS {
+        return None;
+    }
     let mut all = vec![("n", sys.n() as u64)];
     all.extend_from_slice(consts);
-    let port = tpa_dsl::compile_with(src, &all).ok()?;
+    let port = tpa_dsl::compile_with(src, &all).unwrap_or_else(|d| {
+        let origin = format!("{} port", sys.name());
+        panic!("{}", d.render(src, &origin))
+    });
     let code = (0..sys.n())
         .map(|p| Bytecode::clone(port.system.bytecode(ProcId(p as u32))))
         .collect();

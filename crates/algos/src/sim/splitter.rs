@@ -14,9 +14,7 @@
 //! so both RMRs and fences grow with the actual contention — the shape the
 //! paper's trade-off says any adaptive algorithm must exhibit.
 
-use tpa_tso::{
-    Op, Outcome, Permutation, PidEncoding, ProcId, Program, System, Value, VarId, VarSpec, VmSystem,
-};
+use tpa_tso::{Op, Outcome, PidEncoding, ProcId, Program, System, Value, VarId, VarSpec, VmSystem};
 
 /// The fast-path (splitter) lock system.
 #[derive(Clone, Debug)]
@@ -72,11 +70,13 @@ impl System for SplitterLock {
     }
 
     fn symmetric(&self) -> bool {
-        // Processes are interchangeable: x/y hold one-based pids compared
-        // only for equality with the reader's own id, b[] is pid-indexed,
-        // and the slow-path wait scan is a renaming precondition in
-        // `state_hash_permuted`.
-        true
+        // x/y hold one-based pids compared only for equality with the
+        // reader's own id and b[] is pid-indexed, but the slow-path wait
+        // scans *every* pid, its own included, in pid order. A renamed
+        // process would scan in a different order, so no renaming other
+        // than the identity mirrors the future of a process that may
+        // still take the slow path.
+        false
     }
 
     fn compile_vm(&self) -> Option<VmSystem> {
@@ -151,27 +151,6 @@ impl Program for SplitterProgram {
         use std::hash::Hash;
         self.state.hash(&mut h);
         self.passages_left.hash(&mut h);
-    }
-
-    fn state_hash_permuted(&self, perm: &Permutation, mut h: &mut dyn std::hash::Hasher) -> bool {
-        use std::hash::Hash;
-        // The b-scan runs over *all* pids (including me) in pid order:
-        // the renamed program must have completed exactly the renamed
-        // prefix.
-        let state = match self.state {
-            State::WaitB { j } => {
-                if !perm.maps_prefix(j) {
-                    return false;
-                }
-                State::WaitB {
-                    j: perm.apply_index(j),
-                }
-            }
-            s => s,
-        };
-        state.hash(&mut h);
-        self.passages_left.hash(&mut h);
-        true
     }
 
     fn peek(&self) -> Op {

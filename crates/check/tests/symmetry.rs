@@ -9,10 +9,12 @@
 //! system that never declared symmetry (the fenceless bakery) and a
 //! system whose declaration the start-of-run validation must reject.
 
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 use tpa_algos::sim::bakery::BakeryLock;
 use tpa_check::{Checker, Features, Invariant, Report, StateKeys, Verdict, Violation};
 use tpa_tso::scripted::{Instr, ScriptSystem};
-use tpa_tso::Machine;
+use tpa_tso::{Machine, SymmetryGroup, System};
 
 fn keys_of(symmetry: bool) -> Features {
     Features {
@@ -27,14 +29,13 @@ fn keys_of(symmetry: bool) -> Features {
 
 /// Locks whose `System::symmetric()` declaration should survive
 /// validation and engage canonical caching.
-const SYMMETRIC: &[&str] = &[
-    "tas", "ttas", "ticketq", "filter", "mcs", "dijkstra", "splitter",
-];
+const SYMMETRIC: &[&str] = &["tas", "ttas", "ticketq", "filter", "mcs", "dijkstra"];
 
 /// Locks that are genuinely pid-asymmetric (ticket tie-breaks by pid
-/// order, a fixed tournament tree, the one-bit scan) and must fall back
-/// to concrete keys.
-const ASYMMETRIC: &[&str] = &["bakery", "onebit", "tournament"];
+/// order, a fixed tournament tree, the one-bit scan, the splitter's
+/// pid-order scan over every process) and must fall back to concrete
+/// keys.
+const ASYMMETRIC: &[&str] = &["bakery", "onebit", "tournament", "splitter"];
 
 fn run(system: &dyn tpa_tso::System, symmetry: bool, threads: usize) -> Report {
     Checker::new(system)
@@ -77,17 +78,31 @@ fn portfolio_n2_symmetry_is_verdict_preserving_and_reduces_states() {
 }
 
 /// The canonical-state count is as deterministic as the concrete one:
-/// identical at 1, 2 and 4 threads on symmetry-engaged locks at n = 3.
+/// identical at 1, 2 and 4 threads on symmetry-engaged locks at n = 3,
+/// scan locks (filter, dijkstra) included at a 40-step bound.
 #[test]
 fn canonical_state_count_is_stable_across_thread_counts() {
-    for name in ["ticketq", "mcs"] {
+    for (name, steps) in [
+        ("ticketq", 60),
+        ("mcs", 60),
+        ("filter", 40),
+        ("dijkstra", 40),
+    ] {
         let lock = tpa_algos::lock_by_name(name, 3, 1).unwrap();
-        let base = run(lock.as_ref(), true, 1);
+        let run = |threads| {
+            Checker::new(lock.as_ref())
+                .max_steps(steps)
+                .max_transitions(4_000_000)
+                .threads(threads)
+                .features(keys_of(true))
+                .exhaustive()
+        };
+        let base = run(1);
         assert!(base.symmetry, "{name}: symmetry failed to engage");
         assert!(base.stats.complete);
         base.assert_pass();
         for threads in [2, 4] {
-            let par = run(lock.as_ref(), true, threads);
+            let par = run(threads);
             assert_eq!(
                 base.stats.unique_states, par.stats.unique_states,
                 "{name}: canonical state count varies with thread count ({threads})"
@@ -95,6 +110,97 @@ fn canonical_state_count_is_stable_across_thread_counts() {
             par.assert_pass();
         }
     }
+}
+
+/// Records the canonical key of every state the search shows it.
+struct KeyRecorder {
+    group: SymmetryGroup,
+    keys: Arc<Mutex<HashSet<u64>>>,
+}
+impl Invariant for KeyRecorder {
+    fn name(&self) -> &'static str {
+        "key-recorder"
+    }
+    fn check(&self, m: &Machine) -> Option<Violation> {
+        let key = m.canonical_state_key(&self.group).0 .0;
+        self.keys.lock().unwrap().insert(key);
+        None
+    }
+}
+
+/// Coverage, the property canonical caching rests on: the canonical
+/// search generates the orbit of every state reachable within the step
+/// bound. A breadth-first enumeration without any reduction lists those
+/// states; each one's canonical key must be among the keys the search
+/// generated. A renaming under which a state's mirror image has another
+/// future (a pid-order scan run by a renamed process visits the others
+/// in a different order) merges the two and drops the descendants only
+/// the mirror has. Every symmetry-engaged lock, native and compiled, at
+/// n = 2 and 3, on one thread and two.
+#[test]
+fn canonical_search_covers_every_reachable_orbit() {
+    for (n, steps) in [(2usize, 60usize), (3, 40)] {
+        for lock in tpa_algos::all_locks(n, 1) {
+            if !lock.symmetric() {
+                continue;
+            }
+            let vm = lock.compile_vm().expect("every portfolio lock compiles");
+            let group = SymmetryGroup::for_spec(&lock.vars(), n);
+            for (sys, execution) in [(lock.as_ref(), "native"), (&vm as &dyn System, "vm")] {
+                let reachable = reachable_orbits(sys, &group, steps);
+                for threads in [1, 2] {
+                    let root = Machine::new(sys).canonical_state_key(&group).0 .0;
+                    let keys = Arc::new(Mutex::new(HashSet::from([root])));
+                    let mut battery = tpa_check::standard_invariants();
+                    battery.push(Box::new(KeyRecorder {
+                        group: group.clone(),
+                        keys: keys.clone(),
+                    }));
+                    let report = Checker::new(sys)
+                        .invariants(battery)
+                        .max_steps(steps)
+                        .max_transitions(4_000_000)
+                        .threads(threads)
+                        .features(keys_of(true))
+                        .exhaustive();
+                    report.assert_pass();
+                    assert!(report.symmetry && report.stats.complete);
+                    let missed = reachable.difference(&keys.lock().unwrap()).count();
+                    assert_eq!(
+                        missed,
+                        0,
+                        "{} n={n} {execution}, threads={threads}: the search generated \
+                         no state of {missed} of the {} reachable orbits",
+                        lock.name(),
+                        reachable.len()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The canonical keys of every state reachable from the root in fewer
+/// than `steps` steps, breadth-first over all enabled directives.
+fn reachable_orbits(sys: &dyn System, group: &SymmetryGroup, steps: usize) -> HashSet<u64> {
+    let root = Machine::new(sys);
+    let mut seen = HashSet::from([root.state_hash()]);
+    let mut orbits = HashSet::from([root.canonical_state_key(group).0 .0]);
+    let mut frontier = vec![root];
+    for _ in 1..steps {
+        let mut next = Vec::new();
+        for m in &frontier {
+            for d in tpa_check::enabled_all(m) {
+                let mut child = m.fork_for_search();
+                if child.step(d).is_ok() && seen.insert(child.state_hash()) {
+                    orbits.insert(child.canonical_state_key(group).0 .0);
+                    next.push(child);
+                }
+            }
+        }
+        frontier = next;
+    }
+    orbits
 }
 
 /// Negative control, fallback path: the fenceless bakery never declared

@@ -46,7 +46,7 @@ pub mod parser;
 
 pub use ast::{AssertKind, Expect};
 pub use diag::{suggest, Diagnostic, Span};
-pub use lower::{Check, CompiledScenario, Forbid, Twin};
+pub use lower::{Check, CompiledScenario, Forbid, Twin, MAX_PROCS};
 pub use parser::parse;
 
 /// Compiles scenario source to a checkable [`CompiledScenario`].

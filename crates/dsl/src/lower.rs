@@ -154,6 +154,10 @@ struct VarInfo {
 /// The compile-time constants in scope: `n` and every `param`.
 type Consts = HashMap<String, i64>;
 
+/// The largest process count a scenario may declare, directly or through
+/// an `n` override.
+pub const MAX_PROCS: usize = 64;
+
 /// Lowers a parsed file to a [`CompiledScenario`]. `overrides` replace
 /// the declared values of constants: `n` (the `procs` count) or any
 /// `param`; naming a constant the file does not declare is an error.
@@ -197,10 +201,10 @@ pub fn lower(file: &File, overrides: &[(&str, u64)]) -> Result<CompiledScenario,
             return Err(d);
         }
     }
-    if procs == 0 || procs > 64 {
+    if procs == 0 || procs > MAX_PROCS as u64 {
         return Err(Diagnostic::new(
             procs_span,
-            format!("process count must be between 1 and 64, got {procs}"),
+            format!("process count must be between 1 and {MAX_PROCS}, got {procs}"),
         ));
     }
     let n = procs as usize;
@@ -476,15 +480,8 @@ fn parse_reg_kind(kind: &str, span: Span) -> Result<RegKind, Diagnostic> {
         "one_based" => Ok(RegKind::OneBased),
         "zero_idx" => Ok(RegKind::ZeroIdx),
         "scan_skip_self" => Ok(RegKind::ScanSkipSelf),
-        "scan_all" => Ok(RegKind::ScanAll),
         other => {
-            let cands = [
-                "plain",
-                "one_based",
-                "zero_idx",
-                "scan_skip_self",
-                "scan_all",
-            ];
+            let cands = ["plain", "one_based", "zero_idx", "scan_skip_self"];
             let mut d = Diagnostic::new(span, format!("unknown register kind `{other}`"));
             if let Some(s) = suggest(other, cands) {
                 d = d.with_help(format!("did you mean `{s}`?"));

@@ -238,14 +238,12 @@ pub enum RegKind {
     /// The value *is* a pid `0..n-1` (dijkstra's turn holder). Mapped
     /// with [`crate::Permutation::apply_index`].
     ZeroIdx,
-    /// A scan position over the other processes in id order: the state is
-    /// expressible under a renaming only if it preserves the scanned
-    /// prefix minus the scanner itself
-    /// ([`crate::Permutation::maps_scan_prefix`]).
+    /// A scan position over the other processes in id order, mapped
+    /// with [`crate::Permutation::apply_index`]. A program with this kind
+    /// at any counter is renamable, while it has not halted, only under
+    /// permutations that keep the order of the processes it scans
+    /// ([`crate::Permutation::keeps_order_skipping`]).
     ScanSkipSelf,
-    /// A scan position over *all* processes in id order
-    /// ([`crate::Permutation::maps_prefix`]).
-    ScanAll,
 }
 
 /// Symmetry treatment of a compiled program's local state.
@@ -283,7 +281,7 @@ pub struct Bytecode {
     pub recover_pc: Option<u16>,
     /// Symmetry treatment of the register file.
     pub sym: SymMode,
-    /// The process this bytecode was compiled for (scan-prefix checks
+    /// The process this bytecode was compiled for (scan-order checks
     /// need the scanner's own id).
     pub me: u32,
 }
@@ -692,7 +690,6 @@ fn dec_kind(r: &mut Reader) -> Result<RegKind, DecodeError> {
             1 => RegKind::OneBased,
             2 => RegKind::ZeroIdx,
             3 => RegKind::ScanSkipSelf,
-            4 => RegKind::ScanAll,
             _ => return None,
         })
     })
@@ -1097,7 +1094,6 @@ mod tests {
         kinds[0][2] = RegKind::OneBased;
         kinds[1][4] = RegKind::ScanSkipSelf;
         kinds[3][6] = RegKind::ZeroIdx;
-        kinds[4][0] = RegKind::ScanAll;
         let mut init_regs = [0; NREGS];
         init_regs[15] = 42;
         let bc = Bytecode {

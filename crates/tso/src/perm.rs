@@ -18,11 +18,12 @@
 //! permutation the declared DSM ownership is not equivariant under.
 //!
 //! Soundness note: a permutation may be *invalid for a particular state*
-//! (e.g. a scan in pid order whose prefix is not preserved, or an
-//! unwritten pid-valued variable whose initial value the permutation
-//! moves). Validity is intrinsic to the state, so every member of an
-//! orbit agrees on which renamings apply — an invalid permutation only
-//! loses reduction, never soundness — and the identity is always valid.
+//! (e.g. a live process that scans in pid order while the renaming does
+//! not keep that order, or an unwritten pid-valued variable whose
+//! initial value the permutation moves). Validity is intrinsic to the
+//! state, so every member of an orbit agrees on which renamings apply —
+//! an invalid permutation only loses reduction, never soundness — and
+//! the identity is always valid.
 
 use crate::ids::{ProcId, Value, VarId};
 use crate::machine::Directive;
@@ -111,36 +112,26 @@ impl Permutation {
         self.map.get(v as usize - 1).map(|&m| m as Value + 1)
     }
 
-    /// Does `π` map `{0..j-1}` onto `{0..π(j)-1}`? This is the validity
-    /// condition for a program scanning *all* processes in pid order that
-    /// has completed the prefix below `j`: the renamed program must have
-    /// completed exactly the prefix below `π(j)`.
-    pub fn maps_prefix(&self, j: usize) -> bool {
-        debug_assert!(self.n() <= 64);
-        let mut image = 0u64;
-        for k in 0..j {
-            image |= 1u64 << self.map[k];
-        }
-        image == (1u64 << self.map[j]) - 1
-    }
-
-    /// Like [`Permutation::maps_prefix`], for a scan that skips the
-    /// scanner's own pid `me`: does `π` map `{k < j, k ≠ me}` onto
-    /// `{k < π(j), k ≠ π(me)}`?
-    pub fn maps_scan_prefix(&self, j: usize, me: usize) -> bool {
-        debug_assert!(self.n() <= 64);
-        let mut image = 0u64;
-        for k in 0..j {
-            if k != me {
-                image |= 1u64 << self.map[k];
+    /// Does `π` keep the pid order of the processes other than `me`,
+    /// i.e. is it increasing on `{k ≠ me}` (and so an order-isomorphism
+    /// onto `{k ≠ π(me)}`)? This is the validity condition for a live
+    /// program that scans the other processes in pid order: the renamed
+    /// program at `π(me)` visits them in *its* pid order, and its future
+    /// mirrors this one's only if that order is the renamed one — for
+    /// the scan under way and for every later scan. It implies that a
+    /// scan's completed prefix maps onto the renamed scanner's.
+    pub fn keeps_order_skipping(&self, me: usize) -> bool {
+        let mut last = None;
+        for (k, &m) in self.map.iter().enumerate() {
+            if k == me {
+                continue;
             }
+            if last.is_some_and(|l| m < l) {
+                return false;
+            }
+            last = Some(m);
         }
-        let mut want = (1u64 << self.map[j]) - 1;
-        let pme = self.map[me];
-        if pme < self.map[j] {
-            want &= !(1u64 << pme);
-        }
-        image == want
+        true
     }
 }
 
@@ -293,23 +284,20 @@ mod tests {
     }
 
     #[test]
-    fn prefix_conditions() {
-        // π = (0 1) on 3 procs. At j=0 the scanner has completed nothing,
-        // but the renamed scanner at π(0)=1 would imply slot 0 done —
-        // invalid. At j=1 the completed set {0} maps to {1}, not {0} —
-        // invalid. At j=2 the completed set {0,1} maps to itself — valid.
-        let p = Permutation::transposition(3, 0, 1);
-        assert!(!p.maps_prefix(0));
-        assert!(!p.maps_prefix(1));
-        assert!(p.maps_prefix(2));
-        // A permutation fixing 0 renames a j=0 scanner to a j=0 scanner.
-        assert!(Permutation::transposition(3, 1, 2).maps_prefix(0));
-        // Skipping me=2: scanned {0} at j=1, image {1}; want {k<π(1)=0}
-        // minus π(2)=2 = {} — mismatch.
-        assert!(!p.maps_scan_prefix(1, 2));
-        // me=0 at j=1: scanned {} (k=0 is me), image {}; want
-        // {k < π(1)=0} minus π(0)=1 = {} — ok.
-        assert!(p.maps_scan_prefix(1, 0));
+    fn scan_order_condition() {
+        // On 3 procs, scanner me = 0 visits 1 then 2. π = (0 1) sends
+        // them to 0 then 2, in order, and the renamed scanner at π(0) = 1
+        // visits exactly 0 then 2 — valid.
+        assert!(Permutation::transposition(3, 0, 1).keeps_order_skipping(0));
+        // π = (1 2) sends 1, 2 to 2, 1: the renamed scanner would visit
+        // them in the opposite order — invalid.
+        assert!(!Permutation::transposition(3, 1, 2).keeps_order_skipping(0));
+        // Scanner me = 2 under (0 1): the mirror of its visits 0, 1 is
+        // 1, 0, but the scanner at π(2) = 2 visits 0 then 1 — invalid.
+        assert!(!Permutation::transposition(3, 0, 1).keeps_order_skipping(2));
+        // On 2 procs every renaming keeps the (one-element) order.
+        assert!(Permutation::transposition(2, 0, 1).keeps_order_skipping(0));
+        assert!(Permutation::identity(4).keeps_order_skipping(3));
     }
 
     #[test]

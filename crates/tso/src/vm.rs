@@ -37,6 +37,10 @@ pub struct VmProgram {
     pc: u16,
     regs: [Value; NREGS],
     halted: bool,
+    /// Some counter gives a register [`RegKind::ScanSkipSelf`]: the
+    /// program scans the other processes in pid order, so renamings must
+    /// keep that order until it halts.
+    scans_others: bool,
 }
 
 impl VmProgram {
@@ -44,11 +48,14 @@ impl VmProgram {
     /// file, resolved to its first rest point.
     pub fn new(code: Arc<Bytecode>) -> Self {
         let regs = code.init_regs;
+        let scans_others = matches!(&code.sym, SymMode::Kinds(table)
+            if table.iter().flatten().any(|&k| k == RegKind::ScanSkipSelf));
         let mut p = VmProgram {
             code,
             pc: 0,
             regs,
             halted: false,
+            scans_others,
         };
         p.resolve_local();
         p
@@ -255,7 +262,12 @@ impl VmProgram {
                 true
             }
             SymMode::Kinds(table) => {
-                let me = self.code.me as usize;
+                // A halted program scans again only if a crash can
+                // restart it.
+                let live = !self.halted || self.code.recover_pc.is_some();
+                if self.scans_others && live && !perm.keeps_order_skipping(self.code.me as usize) {
+                    return false;
+                }
                 let kinds = &table[self.pc as usize];
                 self.pc.hash(h);
                 for (r, &v) in self.regs.iter().enumerate() {
@@ -269,18 +281,7 @@ impl VmProgram {
                             Some(m) => m,
                             None => return false,
                         },
-                        RegKind::ScanSkipSelf => {
-                            if !perm.maps_scan_prefix(v as usize, me) {
-                                return false;
-                            }
-                            perm.apply_index(v as usize) as Value
-                        }
-                        RegKind::ScanAll => {
-                            if !perm.maps_prefix(v as usize) {
-                                return false;
-                            }
-                            perm.apply_index(v as usize) as Value
-                        }
+                        RegKind::ScanSkipSelf => perm.apply_index(v as usize) as Value,
                     };
                     mapped.hash(h);
                 }

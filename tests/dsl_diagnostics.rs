@@ -129,14 +129,14 @@ fn overriding_an_undeclared_constant_suggests_a_declared_one() {
 #[test]
 fn scoped_register_kinds_name_a_defined_label() {
     let src = "scenario t\nprocs 2\nsymmetric\narray b[n] pid_indexed\nproc* {\n  \
-               reg j: scan_all at wiatb\nwaitb:\n  when b[j] == 0 goto waitb else waitb\n}\n";
+               reg j: scan_skip_self at wiatb\nwaitb:\n  when b[j] == 0 goto waitb else waitb\n}\n";
     assert_eq!(
         render(src),
         "error: undefined label `wiatb`\n  \
-         --> snippet.tpa:6:22\n   \
+         --> snippet.tpa:6:28\n   \
          |\n   \
-         |   reg j: scan_all at wiatb\n   \
-         |                      ^^^^^\n   \
+         |   reg j: scan_skip_self at wiatb\n   \
+         |                            ^^^^^\n   \
          = help: did you mean `waitb`?\n"
     );
 }

@@ -50,7 +50,7 @@ fn identity_permutation_reproduces_the_concrete_hash() {
 /// the same answer (the underlying permuted hashes are pure).
 #[test]
 fn canonical_key_is_a_stable_lower_bound() {
-    for name in ["ticketq", "mcs", "splitter"] {
+    for name in ["ticketq", "mcs", "filter"] {
         let lock = lock_by_name(name, 3, 1).unwrap();
         let group = SymmetryGroup::for_spec(&lock.vars(), lock.n());
         assert!(group.len() > 1, "{name}: no permutations kept");
